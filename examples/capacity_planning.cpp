@@ -18,6 +18,9 @@ int main(int argc, char** argv) {
 
   workload::SyntheticSdscConfig trace;
   trace.job_count = 1500;
+  // Every job must fit the smallest machine swept: a job wider than the
+  // machine is an invalid run (debug builds check it).
+  trace.max_procs = 32;
   const workload::WorkloadBuilder builder(trace);
   const auto jobs = builder.build(workload::QosConfig{},
                                   /*arrival_delay_factor=*/0.25,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/logger.hpp"
 
@@ -29,15 +30,11 @@ TimeSharedCluster::TimeSharedCluster(sim::Simulator& simulator,
   }
 }
 
-void TimeSharedCluster::share_index_erase(NodeId id) {
+void TimeSharedCluster::share_index_update(NodeId id) {
   if (down_[id] != 0) return;
-  share_index_.erase(share_iters_[id]);
-}
-
-void TimeSharedCluster::share_index_insert(NodeId id) {
-  if (down_[id] != 0) return;
-  share_iters_[id] =
-      share_index_.insert(ShareEntry{nodes_[id].total_share, id}).first;
+  auto entry = share_index_.extract(share_iters_[id]);
+  entry.value().committed = nodes_[id].total_share;
+  share_iters_[id] = share_index_.insert(std::move(entry)).position;
 }
 
 double TimeSharedCluster::committed_share(NodeId node) const {
@@ -45,31 +42,6 @@ double TimeSharedCluster::committed_share(NodeId node) const {
     throw std::out_of_range("TimeSharedCluster::committed_share: bad node");
   }
   return nodes_[node].total_share;
-}
-
-NodeView TimeSharedCluster::node_view(NodeId node) const {
-  if (node >= nodes_.size()) {
-    throw std::out_of_range("TimeSharedCluster::node_view: bad node");
-  }
-  const NodeState& state = nodes_[node];
-  NodeView view;
-  view.node = node;
-  view.committed_share = state.total_share;
-  view.tasks.reserve(state.tasks.size());
-  // Project integration to "now" without mutating (const view).
-  const double elapsed = now() - state.last_integrated;
-  for (const Task& task : state.tasks) {
-    TaskView tv;
-    tv.job = task.job;
-    tv.share = task.share;
-    tv.estimated_work = task.estimated_work;
-    const double rate =
-        state.total_share > 0.0 ? task.share / state.total_share : 0.0;
-    tv.done_work = task.done + rate * elapsed;
-    tv.deadline = task.deadline;
-    view.tasks.push_back(tv);
-  }
-  return view;
 }
 
 void TimeSharedCluster::start(const workload::Job& job,
@@ -85,18 +57,15 @@ void TimeSharedCluster::start(const workload::Job& job,
   if (jobs_.contains(job.id)) {
     throw std::logic_error("TimeSharedCluster::start: job already running");
   }
-  // One validated pass: every check runs before any node is touched (the
-  // strong exception guarantee the old two-pass version provided), but
-  // each id is bounds-checked and indexed exactly once. Duplicate
-  // detection rides on the sorted copy job teardown needs anyway.
+  // Every check runs before any node is touched (strong exception
+  // guarantee). Duplicate detection rides on the sorted copy job teardown
+  // needs anyway.
   std::vector<NodeId> sorted_nodes = nodes;
   std::sort(sorted_nodes.begin(), sorted_nodes.end());
   if (std::adjacent_find(sorted_nodes.begin(), sorted_nodes.end()) !=
       sorted_nodes.end()) {
     throw std::logic_error("TimeSharedCluster::start: duplicate node");
   }
-  std::vector<NodeState*> states;
-  states.reserve(nodes.size());
   for (NodeId id : nodes) {
     if (id >= nodes_.size()) {
       throw std::logic_error("TimeSharedCluster::start: bad node id");
@@ -104,12 +73,10 @@ void TimeSharedCluster::start(const workload::Job& job,
     if (down_[id] != 0) {
       throw std::logic_error("TimeSharedCluster::start: node is down");
     }
-    NodeState& state = nodes_[id];
-    if (state.total_share + share > 1.0 + kShareEpsilon) {
+    if (nodes_[id].total_share + share > 1.0 + kShareEpsilon) {
       throw std::logic_error(
           "TimeSharedCluster::start: share capacity exceeded on node");
     }
-    states.push_back(&state);
   }
 
   JobState job_state;
@@ -122,9 +89,8 @@ void TimeSharedCluster::start(const workload::Job& job,
   UTILRISK_ELOG(sim::LogLevel::Debug, "start job " << job.id << " share=" << share << " on "
                             << nodes.size() << " nodes");
 
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const NodeId id = nodes[i];
-    NodeState& node = *states[i];
+  for (NodeId id : nodes) {
+    NodeState& node = nodes_[id];
     integrate(node);
     Task task;
     task.job = job.id;
@@ -133,9 +99,8 @@ void TimeSharedCluster::start(const workload::Job& job,
     task.actual_work = job.actual_runtime;
     task.deadline = job.absolute_deadline();
     node.tasks.push_back(task);
-    share_index_erase(id);
     node.total_share += share;
-    share_index_insert(id);
+    share_index_update(id);
     if (ever_tasked_flag_[id] == 0) {
       ever_tasked_flag_[id] = 1;
       ever_tasked_.insert(id);
@@ -159,24 +124,33 @@ void TimeSharedCluster::integrate(NodeState& node) {
 }
 
 void TimeSharedCluster::reschedule(NodeState& node, NodeId id) {
-  node.next_completion.cancel();
-  if (node.tasks.empty()) return;
+  if (node.tasks.empty()) {
+    node.next_completion.cancel();
+    return;
+  }
   double min_dt = std::numeric_limits<double>::infinity();
   for (const Task& task : node.tasks) {
     const double rate = task.share / node.total_share;
     const double remaining = std::max(0.0, task.actual_work - task.done);
     min_dt = std::min(min_dt, remaining / rate);
   }
-  node.next_completion =
-      after(std::max(0.0, min_dt), [this, id] { handle_node_event(id); });
+  const double delay = std::max(0.0, min_dt);
+  // A move takes the next sequence number, as cancel + push would, so
+  // the dispatch order is the same either way.
+  if (!simulator().reschedule_in(node.next_completion, delay)) {
+    node.next_completion =
+        after(delay, [this, id] { handle_node_event(id); });
+  }
 }
 
 void TimeSharedCluster::handle_node_event(NodeId id) {
   NodeState& node = nodes_[id];
   integrate(node);
-  share_index_erase(id);
   // Complete every task whose work target is met (ties complete together).
-  std::vector<workload::JobId> finished;
+  // The id buffer is taken, not borrowed: completion callbacks may
+  // re-enter the executor.
+  std::vector<workload::JobId> finished = std::move(finished_scratch_);
+  finished.clear();
   for (auto it = node.tasks.begin(); it != node.tasks.end();) {
     if (it->done + kWorkEpsilon >= it->actual_work) {
       node.total_share -= it->share;
@@ -189,11 +163,12 @@ void TimeSharedCluster::handle_node_event(NodeId id) {
   if (node.total_share < kShareEpsilon && node.tasks.empty()) {
     node.total_share = 0.0;  // clear accumulated float dust
   }
-  share_index_insert(id);
+  share_index_update(id);
   reschedule(node, id);
   // Notify after the node is consistent: completion callbacks may admit
   // new jobs onto this node.
   for (workload::JobId job : finished) task_finished(job);
+  finished_scratch_ = std::move(finished);
 }
 
 void TimeSharedCluster::task_finished(workload::JobId job) {
@@ -226,7 +201,6 @@ double TimeSharedCluster::remove_job_tasks(
     }
     if (!touched) continue;
     integrate(node);
-    share_index_erase(node_id);
     for (auto task = node.tasks.begin(); task != node.tasks.end();) {
       if (task->job == job) {
         done_min = std::min(done_min, task->done);
@@ -239,7 +213,7 @@ double TimeSharedCluster::remove_job_tasks(
     if (node.total_share < kShareEpsilon && node.tasks.empty()) {
       node.total_share = 0.0;
     }
-    share_index_insert(node_id);
+    share_index_update(node_id);
     reschedule(node, node_id);
   }
   return std::isfinite(done_min) ? done_min : 0.0;

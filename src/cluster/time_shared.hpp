@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <set>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -26,8 +27,8 @@
 
 namespace utilrisk::cluster {
 
-/// Read-only view of a task for admission logic (Libra best-fit,
-/// LibraRiskD risk projection) and tests.
+/// Read-only view of a task, integrated up to "now", for admission logic
+/// (Libra+$ pricing, LibraRiskD risk projection) and tests.
 struct TaskView {
   workload::JobId job = 0;
   double share = 0.0;
@@ -46,13 +47,6 @@ struct TaskView {
   }
 };
 
-/// Read-only per-node view, integrated up to "now".
-struct NodeView {
-  NodeId node = 0;
-  double committed_share = 0.0;
-  std::vector<TaskView> tasks;
-};
-
 /// Proportional-share executor.
 class TimeSharedCluster : public sim::Entity {
  public:
@@ -69,8 +63,30 @@ class TimeSharedCluster : public sim::Entity {
   /// shares only change at start/completion events.
   [[nodiscard]] double committed_share(NodeId node) const;
 
-  /// Integrated view of `node` at the current simulation time.
-  [[nodiscard]] NodeView node_view(NodeId node) const;
+  /// Visits each task on `node`, in residence order, as a TaskView
+  /// integrated to the current simulation time (projected without
+  /// mutating the node), until `visit` returns false. Throws
+  /// std::out_of_range for a bad node. Template visitor, no task vector:
+  /// Libra+$ and LibraRiskD call this per candidate node on the admission
+  /// hot path.
+  template <typename Visit>
+  void for_each_task(NodeId node, Visit&& visit) const {
+    if (node >= nodes_.size()) {
+      throw std::out_of_range("TimeSharedCluster::for_each_task: bad node");
+    }
+    const NodeState& state = nodes_[node];
+    const double elapsed = now() - state.last_integrated;
+    for (const Task& task : state.tasks) {
+      const double rate =
+          state.total_share > 0.0 ? task.share / state.total_share : 0.0;
+      const TaskView view{.job = task.job,
+                          .share = task.share,
+                          .estimated_work = task.estimated_work,
+                          .done_work = task.done + rate * elapsed,
+                          .deadline = task.deadline};
+      if (!visit(view)) return;
+    }
+  }
 
   /// Starts `job` with per-node share `share` on the given distinct nodes
   /// (exactly job.procs of them). Throws std::logic_error on violated
@@ -177,6 +193,9 @@ class TimeSharedCluster : public sim::Entity {
   };
 
   void integrate(NodeState& node);
+  /// Points the node's completion event at its earliest task finish:
+  /// moves the pending event in place (no allocation, no tombstone) and
+  /// schedules a new one only when none is pending.
   void reschedule(NodeState& node, NodeId id);
   void handle_node_event(NodeId id);
   void task_finished(workload::JobId job);
@@ -185,11 +204,10 @@ class TimeSharedCluster : public sim::Entity {
   /// hosts no tasks).
   double remove_job_tasks(workload::JobId job,
                           const std::vector<NodeId>& hosting);
-  /// Removes/re-adds node `id`'s share-index entry keyed by its *current*
-  /// total_share; call erase before mutating the share, insert after.
-  /// Both no-op for down nodes.
-  void share_index_erase(NodeId id);
-  void share_index_insert(NodeId id);
+  /// Re-keys node `id`'s share-index entry to its current total_share,
+  /// reusing the tree node (extract, re-key, re-insert: no allocation).
+  /// Call after mutating the share. No-op for down nodes.
+  void share_index_update(NodeId id);
 
   MachineConfig machine_;
   std::vector<NodeState> nodes_;
@@ -211,6 +229,8 @@ class TimeSharedCluster : public sim::Entity {
   /// Membership mirror of ever_tasked_, so the hot start path pays the
   /// set insert only on a node's first-ever task.
   std::vector<char> ever_tasked_flag_;
+  /// Reused by handle_node_event for the ids of finished jobs.
+  std::vector<workload::JobId> finished_scratch_;
 };
 
 }  // namespace utilrisk::cluster

@@ -45,8 +45,8 @@ economy::Money LibraPolicy::quote(const workload::Job& job,
   return economy::libra_quote(job, pricing());
 }
 
-std::vector<cluster::NodeId> LibraPolicy::select_nodes(
-    const workload::Job& job, double share) const {
+const std::vector<cluster::NodeId>& LibraPolicy::select_nodes(
+    const workload::Job& job, double share) {
   // Best fit: least residual share after placement == highest committed
   // share first. The executor's share index already iterates in that
   // exact order (committed desc, id asc), so taking the first job.procs
@@ -57,18 +57,17 @@ std::vector<cluster::NodeId> LibraPolicy::select_nodes(
   // skip never changes the outcome.
   const double bound =
       1.0 + cluster::TimeSharedCluster::kShareEpsilon - share + 1e-12;
-  std::vector<cluster::NodeId> chosen;
-  chosen.reserve(job.procs);
+  chosen_.clear();
   cluster_->for_each_up_node_best_fit(
       bound, [&](cluster::NodeId node, double /*committed*/) {
         if (node_eligible(node, job, share)) {
-          chosen.push_back(node);
-          if (chosen.size() == job.procs) return false;
+          chosen_.push_back(node);
+          if (chosen_.size() == job.procs) return false;
         }
         return true;
       });
-  if (chosen.size() < job.procs) return {};
-  return chosen;
+  if (chosen_.size() < job.procs) chosen_.clear();
+  return chosen_;
 }
 
 void LibraPolicy::on_submit(const workload::Job& job) {
@@ -81,7 +80,7 @@ void LibraPolicy::on_submit(const workload::Job& job) {
     host().notify_rejected(job);
     return;
   }
-  const std::vector<cluster::NodeId> nodes = select_nodes(job, *share);
+  const std::vector<cluster::NodeId>& nodes = select_nodes(job, *share);
   if (nodes.empty()) {
     host().notify_rejected(job);
     return;

@@ -69,11 +69,16 @@ class LibraPolicy : public Policy {
 
   /// Best-fit selection among eligible nodes: highest committed share
   /// first (saturate nodes to the maximum, §5.2), node id as tiebreak.
-  [[nodiscard]] std::vector<cluster::NodeId> select_nodes(
-      const workload::Job& job, double share) const;
+  /// Empty when fewer than job.procs nodes qualify. The result lives in a
+  /// buffer reused by the next call.
+  [[nodiscard]] const std::vector<cluster::NodeId>& select_nodes(
+      const workload::Job& job, double share);
 
  private:
   std::unique_ptr<cluster::TimeSharedCluster> cluster_;
+  /// select_nodes' result. Admission is not re-entrant, so one buffer
+  /// serves every decision and a decision allocates no node list.
+  std::vector<cluster::NodeId> chosen_;
 };
 
 }  // namespace utilrisk::policy

@@ -15,13 +15,13 @@ economy::Money LibraDollarPolicy::quote(
   const double window = job.deadline_duration;
   economy::Money max_price = 0.0;
   for (cluster::NodeId node : nodes) {
-    const cluster::NodeView view = cluster().node_view(node);
     double committed = job.estimated_runtime;  // the new job's deduction
-    for (const cluster::TaskView& task : view.tasks) {
+    cluster().for_each_task(node, [&](const cluster::TaskView& task) {
       const double remaining_window =
           std::clamp(task.deadline - now, 0.0, window);
       committed += task.share * remaining_window;
-    }
+      return true;
+    });
     const double res_free = window - committed;
     max_price = std::max(max_price, economy::libra_dollar_node_price(
                                         window, res_free, pricing()));

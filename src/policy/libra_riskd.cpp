@@ -11,19 +11,23 @@ bool LibraRiskDPolicy::node_eligible(cluster::NodeId node,
                                      double share) const {
   if (!LibraPolicy::node_eligible(node, job, share)) return false;
 
-  const cluster::NodeView view = cluster().node_view(node);
-  const double total_after = view.committed_share + share;
+  const double total_after = cluster().committed_share(node) + share;
   const sim::SimTime now = simulator().now();
 
   // Project resident tasks at the post-placement proportional rates.
-  for (const cluster::TaskView& task : view.tasks) {
-    if (task.overran_estimate()) return false;  // unknowable remainder
-    const double rate = task.share / std::max(total_after, task.share);
-    const double remaining = task.estimated_work - task.done_work;
-    if (now + remaining / rate > task.deadline + sim::kTimeEpsilon) {
-      return false;
+  // Written as !(projected > deadline) so a NaN projection passes.
+  bool safe = true;
+  cluster().for_each_task(node, [&](const cluster::TaskView& task) {
+    if (task.overran_estimate()) {  // unknowable remainder
+      safe = false;
+    } else {
+      const double rate = task.share / std::max(total_after, task.share);
+      const double remaining = task.estimated_work - task.done_work;
+      safe = !(now + remaining / rate > task.deadline + sim::kTimeEpsilon);
     }
-  }
+    return safe;
+  });
+  if (!safe) return false;
 
   // Project the new job itself on this node.
   const double new_rate = share / std::max(total_after, share);

@@ -21,24 +21,29 @@ using EventSequence = std::uint64_t;
 
 namespace detail {
 
-/// Heap node, owned exclusively by the queue's slab pool. Cancellation is
-/// O(1): the node is tombstoned in place and skipped when it reaches the
-/// top of the heap. Slots are recycled after pop; `generation` is bumped
-/// on every recycle so a stale EventHandle can tell its event already
-/// fired. Single-threaded by kernel contract.
+/// Pending-event record, owned exclusively by the queue's slab pool.
+/// Cancellation is O(1): the record is tombstoned in place and skipped
+/// when it reaches the front. Slots are recycled after pop; `generation`
+/// is bumped on every recycle so a stale EventHandle can tell its event
+/// already fired. Single-threaded by kernel contract.
 struct EventRecord {
   SimTime time = 0.0;
   EventSequence seq = 0;
   EventAction action;
   bool cancelled = false;
+  /// Slot in the heap array while the queue is in heap mode, so a move
+  /// (EventQueue::reschedule) sifts from here without a search. 32 bits
+  /// sit in the padding after `cancelled`, keeping the record at 64 bytes.
+  std::uint32_t heap_pos = 0;
   std::uint64_t generation = 0;
 };
 
 }  // namespace detail
 
-/// Opaque handle to a scheduled event, usable to cancel it before it fires.
-/// Default-constructed handles are inert. Handles do not keep the event
-/// alive past execution; cancelling an already-fired event is a no-op.
+/// Opaque handle to a scheduled event, usable to cancel it before it fires
+/// or to move it (EventQueue::reschedule). Default-constructed handles are
+/// inert. Handles do not keep the event alive past execution; cancelling
+/// an already-fired event is a no-op.
 ///
 /// Validity is checked in two layers: a queue-lifetime token (so a handle
 /// outliving its queue degrades to inert instead of dangling) and the

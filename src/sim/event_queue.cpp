@@ -14,6 +14,13 @@ namespace {
 constexpr std::size_t kBucketOverflow = 32;
 constexpr std::size_t kMinLengthCooldown = 32;
 constexpr std::size_t kMaxLengthCooldown = std::size_t{1} << 20;
+
+/// The (time, seq) total order, for records and heap entries alike.
+template <typename A, typename B>
+bool before(const A& a, const B& b) {
+  if (a.time != b.time) return a.time < b.time;
+  return a.seq < b.seq;
+}
 }  // namespace
 
 EventQueue::EventQueue() : live_(std::make_shared<std::size_t>(0)) {}
@@ -22,12 +29,6 @@ EventQueue::~EventQueue() = default;
 // Handles hold only a weak_ptr to live_ plus a generation stamp, so the
 // queue (and its record slab) can die with handles outstanding: their
 // weak_ptr expires and they degrade to inert.
-
-bool EventQueue::before(const detail::EventRecord& a,
-                        const detail::EventRecord& b) {
-  if (a.time != b.time) return a.time < b.time;
-  return a.seq < b.seq;
-}
 
 detail::EventRecord* EventQueue::acquire() {
   if (!free_.empty()) {
@@ -59,41 +60,54 @@ EventHandle EventQueue::push(SimTime time, EventAction action) {
   rec->cancelled = false;
   EventHandle handle{std::weak_ptr<std::size_t>(live_), rec, rec->generation};
   ++*live_;
-  ++total_pushed_;
   if (calendar_mode_) {
-    const std::size_t bucket_len = calendar_insert(rec);
-    ++pushes_since_rebuild_;
-    if (*live_ > 2 * (bucket_mask_ + 1)) {
-      // Keep occupancy near one live event per bucket: grow the ring once
-      // the live count outgrows it twofold.
-      rebuild_calendar(*live_);
-    } else if (bucket_len > kBucketOverflow &&
-               pushes_since_rebuild_ >= length_cooldown_) {
-      // Stale width: the live window no longer matches the span the last
-      // rebuild measured. Re-measure — and back off exponentially when
-      // re-measuring doesn't actually spread the events (clustered times).
-      const double old_width = bucket_width_;
-      rebuild_calendar(*live_);
-      if (bucket_width_ > 0.5 * old_width) {
-        if (length_cooldown_ < kMaxLengthCooldown) length_cooldown_ *= 2;
-      } else {
-        length_cooldown_ = kMinLengthCooldown;
-      }
-    }
+    calendar_place(rec);
   } else {
-    heap_.push_back(rec);
+    heap_.push_back(HeapEntry{time, rec->seq, rec});
     sift_up(heap_.size() - 1);
     if (!heap_pinned_ && *live_ >= kCalendarEnter) enter_calendar();
   }
   return handle;
 }
 
+bool EventQueue::reschedule(const EventHandle& handle, SimTime time) {
+  if (!std::isfinite(time)) {
+    throw std::invalid_argument(
+        "EventQueue::reschedule: non-finite event time");
+  }
+  // Owner equivalence with live_ proves the handle came from this queue
+  // (a dead queue's control block stays allocated while handles hold it,
+  // so its address cannot be reused by a live one).
+  if (handle.live_.owner_before(live_) || live_.owner_before(handle.live_)) {
+    return false;
+  }
+  detail::EventRecord* rec = handle.record_;
+  if (rec == nullptr || rec->generation != handle.generation_ ||
+      rec->cancelled) {
+    return false;
+  }
+  if (calendar_mode_) calendar_erase(rec);  // found by its old key
+  rec->time = time;
+  rec->seq = next_seq_++;
+  if (calendar_mode_) {
+    calendar_place(rec);
+    return true;
+  }
+  const std::size_t pos = rec->heap_pos;
+  heap_[pos].time = time;
+  heap_[pos].seq = rec->seq;
+  if (pos > 0 && before(heap_[pos], heap_[(pos - 1) / 2])) {
+    sift_up(pos);
+  } else {
+    sift_down(pos);
+  }
+  return true;
+}
+
 void EventQueue::drop_dead_top() {
-  while (!heap_.empty() && heap_.front()->cancelled) {
-    detail::EventRecord* dead = heap_.front();
-    std::swap(heap_.front(), heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
+  while (!heap_.empty() && heap_.front().rec->cancelled) {
+    detail::EventRecord* dead = heap_.front().rec;
+    heap_pop_front();
     recycle(dead);
   }
 }
@@ -106,13 +120,13 @@ SimTime EventQueue::next_time() const {
     detail::EventRecord* rec = const_cast<EventQueue*>(this)->calendar_min();
     return rec != nullptr ? rec->time : kTimeNever;
   }
-  if (!heap_.front()->cancelled) return heap_.front()->time;
+  if (!heap_.front().rec->cancelled) return heap_.front().time;
   // Front is a tombstone (purged on the next pop); scan for the earliest
   // live record. Rare path: only hit between a cancel of the head event
   // and the next pop.
   SimTime best = kTimeNever;
-  for (const detail::EventRecord* rec : heap_) {
-    if (!rec->cancelled && rec->time < best) best = rec->time;
+  for (const HeapEntry& entry : heap_) {
+    if (!entry.rec->cancelled && entry.time < best) best = entry.time;
   }
   return best;
 }
@@ -145,10 +159,8 @@ std::optional<PoppedEvent> EventQueue::pop() {
     assert(*live_ == 0);
     return std::nullopt;
   }
-  detail::EventRecord* top = heap_.front();
-  std::swap(heap_.front(), heap_.back());
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+  detail::EventRecord* top = heap_.front().rec;
+  heap_pop_front();
   assert(!top->cancelled);
   assert(*live_ > 0);
   --*live_;
@@ -159,7 +171,7 @@ std::optional<PoppedEvent> EventQueue::pop() {
 }
 
 void EventQueue::clear() {
-  for (detail::EventRecord* rec : heap_) recycle(rec);
+  for (const HeapEntry& entry : heap_) recycle(entry.rec);
   heap_.clear();
   for (auto& bucket : buckets_) {
     for (detail::EventRecord* rec : bucket) recycle(rec);
@@ -172,27 +184,46 @@ void EventQueue::clear() {
   *live_ = 0;
 }
 
+void EventQueue::heap_place(std::size_t i, const HeapEntry& entry) {
+  heap_[i] = entry;
+  entry.rec->heap_pos = static_cast<std::uint32_t>(i);
+}
+
+void EventQueue::heap_pop_front() {
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (heap_.empty()) return;
+  heap_place(0, last);
+  sift_down(0);
+}
+
+// Both sifts carry the moving entry in a hole and write each displaced
+// entry once, keeping every record's heap_pos current.
 void EventQueue::sift_up(std::size_t i) {
+  const HeapEntry moving = heap_[i];
   while (i > 0) {
-    std::size_t parent = (i - 1) / 2;
-    if (!before(*heap_[i], *heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
+    const std::size_t parent = (i - 1) / 2;
+    if (!before(moving, heap_[parent])) break;
+    heap_place(i, heap_[parent]);
     i = parent;
   }
+  heap_place(i, moving);
 }
 
 void EventQueue::sift_down(std::size_t i) {
   const std::size_t n = heap_.size();
+  const HeapEntry moving = heap_[i];
   for (;;) {
-    std::size_t left = 2 * i + 1;
-    std::size_t right = left + 1;
-    std::size_t smallest = i;
-    if (left < n && before(*heap_[left], *heap_[smallest])) smallest = left;
-    if (right < n && before(*heap_[right], *heap_[smallest])) smallest = right;
-    if (smallest == i) break;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
+    const std::size_t left = 2 * i + 1;
+    if (left >= n) break;
+    const std::size_t right = left + 1;
+    const std::size_t child =
+        right < n && before(heap_[right], heap_[left]) ? right : left;
+    if (!before(heap_[child], moving)) break;
+    heap_place(i, heap_[child]);
+    i = child;
   }
+  heap_place(i, moving);
 }
 
 // ---------------------------------------------------------------------------
@@ -201,7 +232,8 @@ void EventQueue::sift_down(std::size_t i) {
 //    minimum under the (time, seq) total order, so the dispatch sequence
 //    is independent of which structure is active;
 //  * pos_time_ <= every live event's time (pops set it to the popped
-//    time, earlier pushes rewind it, cancellations only raise the min);
+//    time, earlier pushes and moves rewind it, cancellations only raise
+//    the min);
 //  * each bucket is sorted descending, so its minimum — after trailing
 //    tombstones are pruned — is back() and pops in O(1);
 //  * bucket_of is monotone non-decreasing in time, and the dequeue scan
@@ -224,11 +256,11 @@ std::size_t EventQueue::bucket_of(SimTime time) const {
 void EventQueue::enter_calendar() {
   scratch_.clear();
   scratch_.reserve(heap_.size());
-  for (detail::EventRecord* rec : heap_) {
-    if (rec->cancelled) {
-      recycle(rec);
+  for (const HeapEntry& entry : heap_) {
+    if (entry.rec->cancelled) {
+      recycle(entry.rec);
     } else {
-      scratch_.push_back(rec);
+      scratch_.push_back(entry.rec);
     }
   }
   heap_.clear();
@@ -244,7 +276,8 @@ void EventQueue::exit_calendar() {
       if (rec->cancelled) {
         recycle(rec);
       } else {
-        heap_.push_back(rec);
+        rec->heap_pos = static_cast<std::uint32_t>(heap_.size());
+        heap_.push_back(HeapEntry{rec->time, rec->seq, rec});
       }
     }
     bucket.clear();  // keep capacity for the next calendar episode
@@ -333,6 +366,43 @@ std::size_t EventQueue::calendar_insert(detail::EventRecord* rec) {
     }
   }
   return bucket.size();
+}
+
+void EventQueue::calendar_place(detail::EventRecord* rec) {
+  const std::size_t bucket_len = calendar_insert(rec);
+  ++pushes_since_rebuild_;
+  if (*live_ > 2 * (bucket_mask_ + 1)) {
+    // Keep occupancy near one live event per bucket: grow the ring once
+    // the live count outgrows it twofold.
+    rebuild_calendar(*live_);
+  } else if (bucket_len > kBucketOverflow &&
+             pushes_since_rebuild_ >= length_cooldown_) {
+    // Stale width: the live window no longer matches the span the last
+    // rebuild measured. Re-measure — and back off exponentially when
+    // re-measuring doesn't actually spread the events (clustered times).
+    const double old_width = bucket_width_;
+    rebuild_calendar(*live_);
+    if (bucket_width_ > 0.5 * old_width) {
+      if (length_cooldown_ < kMaxLengthCooldown) length_cooldown_ *= 2;
+    } else {
+      length_cooldown_ = kMinLengthCooldown;
+    }
+  }
+}
+
+void EventQueue::calendar_erase(detail::EventRecord* rec) {
+  auto& bucket = buckets_[bucket_of(rec->time) & bucket_mask_];
+  // (time, seq) is unique across records, tombstones included, so the
+  // first entry not above rec in the descending order is rec itself.
+  const auto it = std::lower_bound(
+      bucket.begin(), bucket.end(), rec,
+      [](const detail::EventRecord* a, const detail::EventRecord* b) {
+        return before(*b, *a);
+      });
+  assert(it != bucket.end() && *it == rec);
+  bucket.erase(it);
+  --resident_;
+  if (cached_min_ == rec) cached_min_ = nullptr;
 }
 
 detail::EventRecord* EventQueue::calendar_min() {

@@ -6,7 +6,8 @@
 // global minimum under the same (time, sequence) total order, so the
 // dispatch sequence — and therefore every replay digest — is identical
 // regardless of which structure is active or when the switch happens.
-// Cancellation stays tombstone-based O(1) in both modes.
+// Cancellation stays tombstone-based O(1) in both modes; a pending event
+// can also be moved in place (reschedule), which leaves no tombstone.
 #pragma once
 
 #include <cstddef>
@@ -54,6 +55,14 @@ class EventQueue {
   /// Inserts an event. `time` must be finite.
   EventHandle push(SimTime time, EventAction action);
 
+  /// Moves the pending event behind `handle` to `time` (finite), reusing
+  /// its record and action. The event takes the next sequence number, as
+  /// a cancel followed by a push would, so it fires in exactly the order
+  /// that pair would produce — without the tombstone or the new record.
+  /// Returns false, and changes nothing, when the handle has fired, been
+  /// cancelled, gone stale, or belongs to another (possibly dead) queue.
+  bool reschedule(const EventHandle& handle, SimTime time);
+
   /// True if no live (uncancelled) events remain.
   [[nodiscard]] bool empty() const { return *live_ == 0; }
 
@@ -70,9 +79,6 @@ class EventQueue {
   /// Drops every pending event.
   void clear();
 
-  /// Total events ever pushed (diagnostics).
-  [[nodiscard]] std::uint64_t total_pushed() const { return total_pushed_; }
-
   /// True while the calendar structure is active (diagnostics/tests).
   [[nodiscard]] bool calendar_active() const { return calendar_mode_; }
 
@@ -82,13 +88,23 @@ class EventQueue {
   void force_heap_mode() { heap_pinned_ = true; }
 
  private:
+  /// Heap slot: the record's (time, seq) key is stored inline, so sifts
+  /// compare keys without dereferencing records.
+  struct HeapEntry {
+    SimTime time = 0.0;
+    EventSequence seq = 0;
+    detail::EventRecord* rec = nullptr;
+  };
+
   // -- shared slab plumbing --
   void recycle(detail::EventRecord* rec);
   [[nodiscard]] detail::EventRecord* acquire();
-  [[nodiscard]] static bool before(const detail::EventRecord& a,
-                                   const detail::EventRecord& b);
 
   // -- heap mode --
+  /// Removes the front entry, refilling the slot from the back.
+  void heap_pop_front();
+  /// Writes `entry` to slot `i` and records the slot in the record.
+  void heap_place(std::size_t i, const HeapEntry& entry);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   void drop_dead_top();
@@ -104,10 +120,17 @@ class EventQueue {
   /// so steady-state growth performs no per-bucket allocation churn.
   void distribute_scratch();
   /// Inserts into the ring; returns the record's bucket length afterwards
-  /// (the push path watches it to detect a stale bucket width).
+  /// (calendar_place watches it to detect a stale bucket width).
   std::size_t calendar_insert(detail::EventRecord* rec);
+  /// calendar_insert plus the ring-growth and width-adaptation checks a
+  /// push or a move runs afterwards.
+  void calendar_place(detail::EventRecord* rec);
+  /// Removes a resident record from its bucket by binary search on the
+  /// bucket's descending (time, seq) order; drops the cached minimum if
+  /// it pointed there.
+  void calendar_erase(detail::EventRecord* rec);
   /// Earliest live record, or nullptr; prunes tombstones and caches the
-  /// result (valid until it is popped, cancelled, or out-pushed).
+  /// result (valid until it is popped, cancelled, moved, or out-pushed).
   [[nodiscard]] detail::EventRecord* calendar_min();
   /// Removes `rec` (the cached minimum) from its bucket.
   void calendar_remove_min(detail::EventRecord* rec);
@@ -116,12 +139,12 @@ class EventQueue {
 
   std::deque<detail::EventRecord> pool_;        ///< stable slab storage
   std::vector<detail::EventRecord*> free_;      ///< recycled slots
-  std::vector<detail::EventRecord*> heap_;
+  /// Binary min-heap on (time, seq); each entry's record knows its slot.
+  std::vector<HeapEntry> heap_;
   /// Live-event counter, shared (weakly) with handles: expiry doubles as
   /// the "queue still alive" token for handles that outlive the queue.
   std::shared_ptr<std::size_t> live_;
   EventSequence next_seq_ = 0;
-  std::uint64_t total_pushed_ = 0;
 
   bool calendar_mode_ = false;
   bool heap_pinned_ = false;

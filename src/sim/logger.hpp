@@ -1,9 +1,8 @@
 // Leveled trace logger, one per Simulator.
 //
-// Replaces the process-wide TraceLog::instance() singleton (now a
-// deprecated shim in trace_log.hpp): since the parallel sweep executor
-// runs one simulator per worker on a jthread pool, a shared mutable
-// singleton was a latent data race. Each Simulator owns a Logger; entities
+// Per-simulator rather than process-wide: the parallel sweep executor
+// runs one simulator per worker on a jthread pool, so a shared mutable
+// singleton would be a data race. Each Simulator owns a Logger; entities
 // reach it through simulator().logger() — usually via the UTILRISK_ELOG
 // sugar — so every run's trace is independently levelled and sinked.
 //

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -27,10 +28,7 @@ EventHandle Simulator::schedule_at(SimTime time, EventAction action) {
   // integration) to "now" so they still fire.
   if (time < now_) time = now_;
   auto handle = queue_.push(time, std::move(action));
-  if (scheduled_metric_ != nullptr) scheduled_metric_->inc();
-  if (queue_depth_metric_ != nullptr) {
-    queue_depth_metric_->set(static_cast<double>(queue_.size()));
-  }
+  note_scheduled();
   return handle;
 }
 
@@ -41,6 +39,26 @@ EventHandle Simulator::schedule_in(SimTime delay, EventAction action) {
                           std::to_string(delay));
   }
   return schedule_at(now_ + delay, std::move(action));
+}
+
+bool Simulator::reschedule_in(const EventHandle& handle, SimTime delay) {
+  delay = clamp_nonnegative(delay);
+  if (delay < 0.0) {
+    throw SchedulingError("Simulator::reschedule_in: negative delay " +
+                          std::to_string(delay));
+  }
+  // now_ + delay >= now_ for delay >= 0: schedule_at's past-time checks
+  // can never fire here.
+  if (!queue_.reschedule(handle, now_ + delay)) return false;
+  note_scheduled();
+  return true;
+}
+
+void Simulator::note_scheduled() {
+  if (scheduled_metric_ != nullptr) scheduled_metric_->inc();
+  if (queue_depth_metric_ != nullptr) {
+    queue_depth_metric_->set(static_cast<double>(queue_.size()));
+  }
 }
 
 bool Simulator::step() {
@@ -75,7 +93,7 @@ std::uint64_t Simulator::run(SimTime horizon) {
     const SimTime next = queue_.next_time();
     if (next == kTimeNever) break;
     if (next > horizon) {
-      now_ = horizon;
+      now_ = std::max(now_, horizon);
       break;
     }
     if (!step()) break;

@@ -56,10 +56,18 @@ class Simulator {
   /// Schedules `action` after `delay` seconds (>= 0).
   EventHandle schedule_in(SimTime delay, EventAction action);
 
+  /// Moves the pending event behind `handle` to fire `delay` seconds
+  /// (>= 0) from now, reusing its record and action. Fires in the same
+  /// order as cancelling it and scheduling its action anew, and counts in
+  /// `sim.events_scheduled` like that schedule would. Returns false, and
+  /// schedules nothing, when the handle has fired, been cancelled, gone
+  /// stale, or belongs to another simulator (live or dead).
+  bool reschedule_in(const EventHandle& handle, SimTime delay);
+
   /// Runs until the event set drains, stop() is called, or — if `horizon`
   /// is finite — the next event would fire after `horizon` (the clock is
-  /// then advanced to `horizon`). Returns the number of events dispatched
-  /// by this call.
+  /// then advanced to `horizon`, or left alone if it is already past it).
+  /// Returns the number of events dispatched by this call.
   std::uint64_t run(SimTime horizon = kTimeNever);
 
   /// Dispatches at most one event. Returns false when no live event remains.
@@ -82,7 +90,7 @@ class Simulator {
   /// Timestamp of the next pending event (kTimeNever when none).
   [[nodiscard]] SimTime next_event_time() const { return queue_.next_time(); }
 
-  /// Per-simulator trace logger (replaces the TraceLog singleton).
+  /// Per-simulator trace logger.
   [[nodiscard]] Logger& logger() { return logger_; }
   [[nodiscard]] const Logger& logger() const { return logger_; }
 
@@ -102,6 +110,9 @@ class Simulator {
   void set_metrics(obs::MetricsRegistry* registry);
 
  private:
+  /// Counts a schedule (or a move) in the kernel's metrics.
+  void note_scheduled();
+
   EventQueue queue_;
   SimTime now_ = 0.0;
   std::uint64_t dispatched_ = 0;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "cluster/space_shared.hpp"
@@ -225,24 +226,48 @@ TEST(TimeSharedTest, EnforcesPhysicalPreconditions) {
       << "duplicate job id";
 }
 
-TEST(TimeSharedTest, NodeViewIntegratesToNow) {
+std::vector<TaskView> tasks_on(const TimeSharedCluster& cluster,
+                               NodeId node) {
+  std::vector<TaskView> tasks;
+  cluster.for_each_task(node, [&](const TaskView& task) {
+    tasks.push_back(task);
+    return true;
+  });
+  return tasks;
+}
+
+TEST(TimeSharedTest, ForEachTaskIntegratesToNow) {
   sim::Simulator simk;
   TimeSharedCluster cluster(simk, {.node_count = 1});
   cluster.start(make_job(1, 1, 1000.0, 500.0), {0}, 0.5, {});
   simk.schedule_at(300.0, [&] {
-    const NodeView view = cluster.node_view(0);
-    ASSERT_EQ(view.tasks.size(), 1u);
-    EXPECT_NEAR(view.tasks[0].done_work, 300.0, 1e-9)
+    const std::vector<TaskView> tasks = tasks_on(cluster, 0);
+    ASSERT_EQ(tasks.size(), 1u);
+    EXPECT_NEAR(tasks[0].done_work, 300.0, 1e-9)
         << "alone on the node => rate 1";
-    EXPECT_FALSE(view.tasks[0].overran_estimate());
+    EXPECT_FALSE(tasks[0].overran_estimate());
   });
   simk.schedule_at(600.0, [&] {
-    const NodeView view = cluster.node_view(0);
-    ASSERT_EQ(view.tasks.size(), 1u);
-    EXPECT_TRUE(view.tasks[0].overran_estimate())
+    const std::vector<TaskView> tasks = tasks_on(cluster, 0);
+    ASSERT_EQ(tasks.size(), 1u);
+    EXPECT_TRUE(tasks[0].overran_estimate())
         << "600s done > 500s estimated";
   });
   simk.run();
+  EXPECT_THROW(tasks_on(cluster, 1), std::out_of_range);
+}
+
+TEST(TimeSharedTest, ForEachTaskStopsWhenTheVisitorSaysSo) {
+  sim::Simulator simk;
+  TimeSharedCluster cluster(simk, {.node_count = 1});
+  cluster.start(make_job(1, 1, 100.0), {0}, 0.25, {});
+  cluster.start(make_job(2, 1, 100.0), {0}, 0.25, {});
+  std::vector<workload::JobId> seen;
+  cluster.for_each_task(0, [&](const TaskView& task) {
+    seen.push_back(task.job);
+    return false;
+  });
+  EXPECT_EQ(seen, (std::vector<workload::JobId>{1}));
 }
 
 TEST(TimeSharedTest, BusyProcSecondsIsWorkConserving) {

@@ -155,10 +155,11 @@ struct NaiveSpaceModel {
     for (auto& [job, run] : running) {
       if (std::find(run.nodes.begin(), run.nodes.end(), id) !=
           run.nodes.end()) {
+        const workload::JobId killed = job;  // `job` dies with the entry
         release(run);
         free.erase(id);  // the dead node stays out of the pool
-        running.erase(job);
-        return job;
+        running.erase(killed);
+        return killed;
       }
     }
     return std::nullopt;
@@ -402,52 +403,123 @@ TEST(TimeSharedPropertyTest, RejectsDuplicateNodeIds) {
 namespace utilrisk::sim {
 namespace {
 
-/// Drives two queues — one pinned to the heap, one free to migrate to the
-/// calendar — through an identical operation sequence and asserts the pop
-/// streams are identical (time AND sequence number: the full total order).
+/// One event as scheduled in all three queues, plus its sequence number
+/// in a naive model (every push and every successful move takes the next
+/// sequence number in each queue, so the model can predict it).
+struct TrackedEvent {
+  EventHandle heap;
+  EventHandle calendar;
+  EventHandle reference;
+  EventSequence seq = 0;
+};
+
+/// Index of the pending event with the least (time, seq), or nullopt.
+std::optional<std::size_t> minimum_of(const std::vector<TrackedEvent>& events) {
+  std::optional<std::size_t> best;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TrackedEvent& e = events[i];
+    if (!e.heap.pending()) continue;
+    const double best_time = best ? events[*best].heap.time() : kTimeNever;
+    if (!best || e.heap.time() < best_time ||
+        (e.heap.time() == best_time && e.seq < events[*best].seq)) {
+      best = i;
+    }
+  }
+  return best;
+}
+
+/// Drives three queues through an identical operation sequence — one
+/// pinned to the heap and one free to migrate to the calendar, both moving
+/// events in place with reschedule(), and a heap-pinned reference that
+/// replaces every move with cancel + push — and asserts the pop streams
+/// are identical (time AND sequence number: the full total order). Moves
+/// go to random times, to exactly the current minimum's time, and to just
+/// before it; a third of them move the current minimum itself, which the
+/// calendar holds cached (next_time() ran after the previous operation).
 void expect_identical_pop_streams(std::uint64_t seed, int pushes,
                                   double lo, double hi,
                                   double outlier_probability) {
   EventQueue heap_queue;
   heap_queue.force_heap_mode();
   EventQueue calendar_queue;
+  EventQueue reference_queue;
+  reference_queue.force_heap_mode();
   Rng rng(seed);
 
-  std::vector<EventHandle> heap_handles;
-  std::vector<EventHandle> calendar_handles;
+  std::vector<TrackedEvent> events;
+  EventSequence next_seq = 0;
   int pushed = 0;
   bool saw_calendar = false;
+  bool saw_calendar_move = false;
   while (pushed < pushes || !calendar_queue.empty()) {
     const double roll = rng.uniform01();
-    if (pushed < pushes && roll < 0.55) {
+    if (pushed < pushes && roll < 0.5) {
       double t = rng.uniform(lo, hi);
       if (outlier_probability > 0.0 && rng.bernoulli(outlier_probability)) {
         t *= 1e6;  // far outlier: stresses bucket-width adaptation
       }
-      heap_handles.push_back(heap_queue.push(t, [] {}));
-      calendar_handles.push_back(calendar_queue.push(t, [] {}));
+      events.push_back(TrackedEvent{heap_queue.push(t, [] {}),
+                                    calendar_queue.push(t, [] {}),
+                                    reference_queue.push(t, [] {}),
+                                    next_seq++});
       ++pushed;
-    } else if (roll < 0.65 && !heap_handles.empty()) {
-      // Cancel the same (random) pending event in both queues.
-      const std::size_t pick = rng.uniform_int(0, heap_handles.size() - 1);
-      const bool a = heap_handles[pick].cancel();
-      const bool b = calendar_handles[pick].cancel();
+    } else if (roll < 0.6 && !events.empty()) {
+      // Cancel the same (random) pending event in every queue.
+      TrackedEvent& e = events[rng.uniform_int(0, events.size() - 1)];
+      const bool a = e.heap.cancel();
+      const bool b = e.calendar.cancel();
+      const bool c = e.reference.cancel();
       ASSERT_EQ(a, b);
+      ASSERT_EQ(a, c);
+    } else if (roll < 0.75 && !events.empty()) {
+      std::size_t pick = rng.uniform_int(0, events.size() - 1);
+      if (rng.bernoulli(1.0 / 3.0)) {
+        if (const auto min = minimum_of(events)) pick = *min;
+      }
+      const SimTime min_time = reference_queue.next_time();
+      double t = rng.uniform(lo, hi);
+      const std::uint64_t target = rng.uniform_int(0, 2);
+      if (min_time != kTimeNever && target == 1) {
+        t = min_time;  // ties the minimum: must pop after it (later seq)
+      } else if (min_time != kTimeNever && target == 2) {
+        t = min_time - rng.uniform(0.0, 0.01 * (hi - lo));  // new minimum
+      }
+      TrackedEvent& e = events[pick];
+      const bool in_calendar = calendar_queue.calendar_active();
+      const bool a = heap_queue.reschedule(e.heap, t);
+      const bool b = calendar_queue.reschedule(e.calendar, t);
+      const bool c = e.reference.cancel();
+      if (c) e.reference = reference_queue.push(t, [] {});
+      ASSERT_EQ(a, b);
+      ASSERT_EQ(a, c);
+      if (a) {
+        e.seq = next_seq++;
+        saw_calendar_move = saw_calendar_move || in_calendar;
+        ASSERT_DOUBLE_EQ(e.heap.time(), t);
+        ASSERT_DOUBLE_EQ(e.calendar.time(), t);
+      }
     } else {
       const auto a = heap_queue.pop();
       const auto b = calendar_queue.pop();
+      const auto c = reference_queue.pop();
       ASSERT_EQ(a.has_value(), b.has_value());
+      ASSERT_EQ(a.has_value(), c.has_value());
       if (a) {
         ASSERT_DOUBLE_EQ(a->time, b->time);
         ASSERT_EQ(a->seq, b->seq);
+        ASSERT_DOUBLE_EQ(a->time, c->time);
+        ASSERT_EQ(a->seq, c->seq);
       }
     }
     ASSERT_EQ(heap_queue.size(), calendar_queue.size());
+    ASSERT_EQ(heap_queue.size(), reference_queue.size());
     ASSERT_DOUBLE_EQ(heap_queue.next_time(), calendar_queue.next_time());
+    ASSERT_DOUBLE_EQ(heap_queue.next_time(), reference_queue.next_time());
     saw_calendar = saw_calendar || calendar_queue.calendar_active();
   }
   EXPECT_TRUE(saw_calendar)
       << "sequence never grew past kCalendarEnter; widen the push count";
+  EXPECT_TRUE(saw_calendar_move) << "no move ran in calendar mode";
   EXPECT_FALSE(calendar_queue.calendar_active())
       << "draining to empty must fall back to the heap";
 }
@@ -488,6 +560,37 @@ TEST(CalendarQueuePropertyTest, TiedTimesPreserveFifoAcrossModes) {
     }
     prev = a->seq;
     first = false;
+  }
+  EXPECT_FALSE(calendar_queue.pop().has_value());
+}
+
+TEST(CalendarQueuePropertyTest, MovingTheCachedMinimumMatchesCancelPlusPush) {
+  EventQueue calendar_queue;
+  EventQueue reference_queue;
+  reference_queue.force_heap_mode();
+  std::vector<EventHandle> moving;
+  std::vector<EventHandle> reference;
+  for (int i = 0; i < 1000; ++i) {
+    const double t = 1.0 + i;
+    moving.push_back(calendar_queue.push(t, [] {}));
+    reference.push_back(reference_queue.push(t, [] {}));
+  }
+  ASSERT_TRUE(calendar_queue.calendar_active());
+  // next_time() caches the minimum (t=1); moving it must drop the cache,
+  // both past the rest and onto another event's time (a tie it loses).
+  for (const double target : {2000.0, 5.0}) {
+    ASSERT_DOUBLE_EQ(calendar_queue.next_time(), reference_queue.next_time());
+    const std::size_t head =
+        static_cast<std::size_t>(calendar_queue.next_time() - 1.0);
+    ASSERT_TRUE(calendar_queue.reschedule(moving[head], target));
+    ASSERT_TRUE(reference[head].cancel());
+    reference[head] = reference_queue.push(target, [] {});
+  }
+  while (auto a = reference_queue.pop()) {
+    const auto b = calendar_queue.pop();
+    ASSERT_TRUE(b.has_value());
+    ASSERT_DOUBLE_EQ(a->time, b->time);
+    ASSERT_EQ(a->seq, b->seq);
   }
   EXPECT_FALSE(calendar_queue.pop().has_value());
 }

@@ -5,14 +5,15 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/distributions.hpp"
 #include "sim/entity.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace_log.hpp"
 
 namespace utilrisk::sim {
 namespace {
@@ -104,6 +105,22 @@ TEST(EventQueueTest, StaleHandleIgnoresRecycledSlot) {
   EXPECT_DOUBLE_EQ(queue.next_time(), 9.0);
 }
 
+TEST(EventQueueTest, RescheduleMovesInPlaceWithTheNextSequence) {
+  EventQueue queue;
+  std::vector<int> order;
+  auto moved = queue.push(1.0, [&] { order.push_back(1); });
+  queue.push(5.0, [&] { order.push_back(2); });
+  ASSERT_TRUE(queue.reschedule(moved, 5.0));
+  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_TRUE(moved.pending());
+  EXPECT_DOUBLE_EQ(moved.time(), 5.0);
+  EXPECT_THROW(queue.reschedule(moved, kTimeNever), std::invalid_argument);
+  while (auto rec = queue.pop()) rec->action();
+  // Tied at t=5: the move took a later sequence number than the push.
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_FALSE(queue.reschedule(moved, 7.0)) << "fired";
+}
+
 TEST(EventQueueTest, StressManyRandomEvents) {
   EventQueue queue;
   Rng rng(7);
@@ -175,6 +192,16 @@ TEST(SimulatorTest, HorizonStopsAndAdvancesClock) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(SimulatorTest, EarlierHorizonNeverRewindsTheClock) {
+  Simulator simk;
+  simk.schedule_at(10.0, [] {});
+  EXPECT_EQ(simk.run(5.0), 0u);
+  EXPECT_DOUBLE_EQ(simk.now(), 5.0);
+  EXPECT_EQ(simk.run(2.0), 0u);
+  EXPECT_DOUBLE_EQ(simk.now(), 5.0) << "the clock never moves backwards";
+  EXPECT_THROW(simk.schedule_at(3.0, [] {}), SchedulingError);
+}
+
 TEST(SimulatorTest, StopRequestHaltsRun) {
   Simulator simk;
   int fired = 0;
@@ -196,6 +223,56 @@ TEST(SimulatorTest, CancelPreventsDispatch) {
   simk.schedule_at(0.5, [&] { handle.cancel(); });
   simk.run();
   EXPECT_EQ(fired, 0);
+}
+
+TEST(SimulatorTest, RescheduleFiresLikeCancelPlusSchedule) {
+  obs::MetricsRegistry metrics(true);
+  Simulator simk;
+  simk.set_metrics(&metrics);
+  std::vector<int> order;
+  EventHandle moved = simk.schedule_at(1.0, [&] { order.push_back(1); });
+  simk.schedule_at(4.0, [&] { order.push_back(2); });
+  simk.schedule_at(0.5, [&] { EXPECT_TRUE(simk.reschedule_in(moved, 3.5)); });
+  EXPECT_EQ(simk.run(), 3u);
+  // The move lands on t=4 behind the event scheduled there first.
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_DOUBLE_EQ(simk.now(), 4.0);
+  EXPECT_EQ(metrics.counter("sim.events_scheduled").value(), 4u)
+      << "a move counts as the schedule it replaces";
+}
+
+TEST(SimulatorTest, RescheduleRefusesHandlesThatAreNotPending) {
+  obs::MetricsRegistry metrics(true);
+  Simulator simk;
+  simk.set_metrics(&metrics);
+  int fired = 0;
+  const EventHandle done = simk.schedule_at(1.0, [&] { ++fired; });
+  simk.run();
+  EXPECT_FALSE(simk.reschedule_in(done, 1.0)) << "fired";
+  EventHandle cancelled = simk.schedule_at(2.0, [&] { ++fired; });
+  // `cancelled` reused `done`'s record slot: `done` is now stale.
+  EXPECT_FALSE(simk.reschedule_in(done, 1.0)) << "stale";
+  ASSERT_TRUE(cancelled.cancel());
+  EXPECT_FALSE(simk.reschedule_in(cancelled, 1.0)) << "cancelled";
+  const EventHandle live = simk.schedule_at(10.0, [&] { ++fired; });
+  EventHandle orphan;
+  {
+    Simulator gone;
+    orphan = gone.schedule_at(1.0, [] {});
+  }
+  EXPECT_FALSE(simk.reschedule_in(orphan, 1.0)) << "outlived its queue";
+  Simulator other;
+  const EventHandle foreign = other.schedule_at(1.0, [] {});
+  EXPECT_FALSE(simk.reschedule_in(foreign, 1.0)) << "another simulator";
+  EXPECT_DOUBLE_EQ(foreign.time(), 1.0);
+
+  EXPECT_EQ(metrics.counter("sim.events_scheduled").value(), 3u)
+      << "refused moves schedule nothing";
+  EXPECT_EQ(simk.pending_events(), 1u);
+  EXPECT_DOUBLE_EQ(simk.next_event_time(), 10.0);
+  EXPECT_DOUBLE_EQ(live.time(), 10.0);
+  simk.run();
+  EXPECT_EQ(fired, 2);
 }
 
 TEST(SimulatorTest, NegativeDelaySlackSnapsToNow) {
@@ -328,20 +405,6 @@ TEST(LoggerTest, ParseLogLevelRoundTrips) {
   EXPECT_THROW(parse_log_level("verbose"), std::invalid_argument);
   EXPECT_STREQ(to_string(LogLevel::Debug), "debug");
 }
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(TraceLogTest, DeprecatedShimStillForwards) {
-  auto& log = TraceLog::instance();
-  std::ostringstream sink;
-  log.set_sink(&sink);
-  log.set_level(LogLevel::Info);
-  UTILRISK_LOG(LogLevel::Info, 1.5, "unit", "hello " << 42);
-  log.set_level(LogLevel::Off);
-  log.set_sink(&std::cerr);
-  EXPECT_NE(sink.str().find("[INF] t=1.5 unit: hello 42"), std::string::npos);
-}
-#pragma GCC diagnostic pop
 
 // --------------------------------------------------------------- RunningStats
 
