@@ -546,13 +546,10 @@ EngineStats AdmissionEngine::drain() {
   for (auto& [key, state] : tenants_) {
     state.simulator.run();
     state.virtual_now = std::max(state.virtual_now, state.simulator.now());
-    for (const auto& [id, record] : state.service->metrics().records()) {
-      if (record.outcome == workload::JobOutcome::FulfilledSLA) {
-        ++stats_.fulfilled;
-      } else if (record.outcome == workload::JobOutcome::ViolatedSLA) {
-        ++stats_.violated;
-      }
-    }
+    const service::MetricsCollector& metrics = state.service->metrics();
+    stats_.fulfilled +=
+        metrics.outcome_count(workload::JobOutcome::FulfilledSLA);
+    stats_.violated += metrics.outcome_count(workload::JobOutcome::ViolatedSLA);
     // Jobs settled under this key's previous policies (live switches
     // rebuild the service; their outcomes live in the accumulators).
     stats_.fulfilled += state.settled_fulfilled;

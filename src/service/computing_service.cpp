@@ -74,21 +74,29 @@ ComputingService::ComputingService(sim::Simulator& simulator,
   }
 }
 
-void ComputingService::submit_all(const std::vector<workload::Job>& jobs) {
+void ComputingService::submit_all(std::vector<workload::Job> jobs) {
+  std::vector<sim::SimTime> times;
+  times.reserve(jobs.size());
+  for (const workload::Job& job : jobs) times.push_back(job.submit_time);
+  // Check before counting: a batch that throws half-way would leave
+  // expected_jobs_ out of reach and the armed injector never disarming.
+  simulator().check_batch(times);
   expected_jobs_ += jobs.size();
   // Arm only while settlements are outstanding: an injector with no jobs
-  // to fail would keep the event queue alive forever.
+  // to fail would keep the event queue alive forever. Arming first keeps
+  // its events' sequence numbers ahead of the arrivals'.
   if (injector_ && terminal_jobs_ < expected_jobs_) injector_->arm();
-  for (const workload::Job& job : jobs) {
-    at(job.submit_time, [this, job] {
-      metrics_.record_submitted(job, now());
-      if (submitted_metric_ != nullptr) submitted_metric_->inc();
-      UTILRISK_ELOG(sim::LogLevel::Debug, "submit job " << job.id << " procs=" << job.procs
-                                 << " est=" << job.estimated_runtime
-                                 << " deadline=" << job.deadline_duration);
-      run_admission(job);
-    });
-  }
+  simulator().schedule_batch(
+      times, [this, jobs = std::move(jobs)](std::size_t i) {
+        const workload::Job& job = jobs[i];
+        metrics_.record_submitted(job, now());
+        if (submitted_metric_ != nullptr) submitted_metric_->inc();
+        UTILRISK_ELOG(sim::LogLevel::Debug,
+                      "submit job " << job.id << " procs=" << job.procs
+                                    << " est=" << job.estimated_runtime
+                                    << " deadline=" << job.deadline_duration);
+        run_admission(job);
+      });
 }
 
 void ComputingService::run_admission(const workload::Job& job) {
@@ -299,26 +307,26 @@ SimulationReport simulate(const std::vector<workload::Job>& jobs,
         << ", pending events=" << simulator.pending_events()
         << ", t=" << simulator.now() << "]; stuck:";
     std::size_t listed = 0;
-    for (const auto& [id, record] : svc.metrics().records()) {
-      if (record.outcome != workload::JobOutcome::Unfinished) continue;
-      if (listed == 10) {
+    svc.metrics().for_each_record([&](const SlaRecord& record) {
+      if (record.outcome != workload::JobOutcome::Unfinished) return;
+      if (listed < 10) {
+        msg << " job " << record.job.id
+            << (record.started ? " (running" : " (queued")
+            << ", outages=" << record.outage_count << ")";
+      } else if (listed == 10) {
         msg << " ...";
-        break;
       }
-      msg << " job " << id << (record.started ? " (running" : " (queued")
-          << ", outages=" << record.outage_count << ")";
       ++listed;
-    }
+    });
     throw std::runtime_error(msg.str());
   }
 
   SimulationReport report;
   report.inputs = svc.metrics().objective_inputs();
   report.objectives = core::compute_objectives(report.inputs);
-  report.records.reserve(svc.metrics().records().size());
-  for (const auto& [id, record] : svc.metrics().records()) {
-    report.records.push_back(record);
-  }
+  report.records.reserve(svc.metrics().submitted_count());
+  svc.metrics().for_each_record(
+      [&](const SlaRecord& record) { report.records.push_back(record); });
   report.events_dispatched = simulator.events_dispatched();
   report.end_time = simulator.now();
   if (report.end_time > 0.0 && machine.node_count > 0) {

@@ -39,10 +39,11 @@ class ComputingService : public sim::Entity, public policy::PolicyHost {
   ComputingService(sim::Simulator& simulator, const PolicyFactory& factory,
                    const policy::PolicyContext& context);
 
-  /// Schedules submission events for every job (jobs need not be sorted;
-  /// each fires at its own submit_time, which must be >= the current
-  /// simulation time).
-  void submit_all(const std::vector<workload::Job>& jobs);
+  /// Schedules the jobs' arrivals as one kernel batch (jobs need not be
+  /// sorted; each fires at its own submit_time, which must be >= the
+  /// current simulation time). All or nothing: a past submit time throws
+  /// sim::SchedulingError before anything is counted or scheduled.
+  void submit_all(std::vector<workload::Job> jobs);
 
   [[nodiscard]] const MetricsCollector& metrics() const { return metrics_; }
   [[nodiscard]] const policy::Policy& active_policy() const {

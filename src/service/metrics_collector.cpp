@@ -1,17 +1,28 @@
 #include "service/metrics_collector.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
 namespace utilrisk::service {
 
 SlaRecord& MetricsCollector::must_find(workload::JobId id, const char* what) {
-  auto it = records_.find(id);
-  if (it == records_.end()) {
+  const auto it = slots_.find(id);
+  if (it == slots_.end()) {
     throw std::logic_error(std::string("MetricsCollector::") + what +
                            ": unknown job " + std::to_string(id));
   }
-  return it->second;
+  return records_[it->second];
+}
+
+std::vector<std::size_t> MetricsCollector::slots_by_id() const {
+  std::vector<std::size_t> slots(records_.size());
+  std::iota(slots.begin(), slots.end(), std::size_t{0});
+  std::sort(slots.begin(), slots.end(), [this](std::size_t a, std::size_t b) {
+    return records_[a].job.id < records_[b].job.id;
+  });
+  return slots;
 }
 
 void MetricsCollector::set_outcome(SlaRecord& record,
@@ -29,15 +40,17 @@ void MetricsCollector::set_outcome(SlaRecord& record,
 
 void MetricsCollector::record_submitted(const workload::Job& job,
                                         sim::SimTime when) {
-  if (records_.contains(job.id)) {
+  if (!slots_.try_emplace(job.id, records_.size()).second) {
     throw std::logic_error("MetricsCollector: duplicate submission of job " +
                            std::to_string(job.id));
   }
-  SlaRecord record;
+  if (!records_.empty() && job.id < records_.back().job.id) {
+    ids_ascending_ = false;
+  }
+  SlaRecord& record = records_.emplace_back();
   record.job = job;
   record.submit_time = when;
   ++outcome_counts_[static_cast<std::size_t>(record.outcome)];
-  records_.emplace(job.id, record);
   ledger_.record_submitted(job);
 }
 
@@ -113,26 +126,26 @@ void MetricsCollector::record_failed(workload::JobId id, sim::SimTime when,
 }
 
 const SlaRecord& MetricsCollector::record(workload::JobId id) const {
-  auto it = records_.find(id);
-  if (it == records_.end()) {
+  const auto it = slots_.find(id);
+  if (it == slots_.end()) {
     throw std::out_of_range("MetricsCollector::record: unknown job " +
                             std::to_string(id));
   }
-  return it->second;
+  return records_[it->second];
 }
 
 core::ObjectiveInputs MetricsCollector::objective_inputs() const {
   core::ObjectiveInputs inputs;
   inputs.total_budget = ledger_.total_budget();
   inputs.total_utility = ledger_.total_utility();
-  for (const auto& [id, record] : records_) {
+  for_each_record([&inputs](const SlaRecord& record) {
     ++inputs.submitted;
     if (record.accepted()) ++inputs.accepted;
     if (record.fulfilled()) {
       ++inputs.fulfilled;
       inputs.wait_sum_fulfilled += record.wait_time();
     }
-  }
+  });
   return inputs;
 }
 

@@ -2,8 +2,10 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <deque>
+#include <unordered_map>
 #include <vector>
 
 #include "core/objectives.hpp"
@@ -14,6 +16,11 @@ namespace utilrisk::service {
 
 /// Collects per-job SLA records during a run and reduces them to the
 /// ObjectiveInputs consumed by the risk analysis.
+///
+/// Records are stored flat in arrival order (a deque, so references stay
+/// valid as records are added) and found through an id -> slot hash
+/// index. The index is only ever probed, never iterated, so no hash order
+/// reaches a report; every ordered walk goes through for_each_record.
 class MetricsCollector {
  public:
   void record_submitted(const workload::Job& job, sim::SimTime when);
@@ -41,15 +48,27 @@ class MetricsCollector {
   void record_failed(workload::JobId id, sim::SimTime when,
                      economy::Money utility);
 
+  /// The record of job `id`; throws std::out_of_range for an unknown id.
+  /// The reference stays valid for the collector's lifetime.
   [[nodiscard]] const SlaRecord& record(workload::JobId id) const;
-  [[nodiscard]] const std::map<workload::JobId, SlaRecord>& records() const {
-    return records_;
+
+  /// Calls `visit(const SlaRecord&)` on every record in ascending job id.
+  /// Ids that arrived ascending (trace order, serve's per-key counter)
+  /// are walked as stored; otherwise the slots are sorted by id first.
+  template <typename Visit>
+  void for_each_record(Visit&& visit) const {
+    if (ids_ascending_) {
+      for (const SlaRecord& record : records_) visit(record);
+      return;
+    }
+    for (const std::size_t slot : slots_by_id()) visit(records_[slot]);
   }
+
   [[nodiscard]] const economy::Ledger& ledger() const { return ledger_; }
 
   /// Canonical objective inputs: the wait sum is accumulated walking the
-  /// records in ascending job-id order, which is the order the digested
-  /// report has always used. O(records).
+  /// records in ascending job-id order (for_each_record), which is the
+  /// order the digested report has always used. O(records).
   [[nodiscard]] core::ObjectiveInputs objective_inputs() const;
 
   /// O(1) objective inputs for periodic samplers: counts come from the
@@ -77,11 +96,16 @@ class MetricsCollector {
 
  private:
   SlaRecord& must_find(workload::JobId id, const char* what);
+  /// Every slot, sorted by its record's job id.
+  [[nodiscard]] std::vector<std::size_t> slots_by_id() const;
   /// Moves `record` to `outcome`, keeping the per-outcome counters and the
   /// rolling fulfilled-wait sum in step.
   void set_outcome(SlaRecord& record, workload::JobOutcome outcome);
 
-  std::map<workload::JobId, SlaRecord> records_;
+  std::deque<SlaRecord> records_;  ///< arrival order
+  std::unordered_map<workload::JobId, std::size_t> slots_;  ///< id -> slot
+  /// True while every record's id exceeds the one stored before it.
+  bool ids_ascending_ = true;
   economy::Ledger ledger_;
   /// One bucket per JobOutcome value; every record is in exactly one.
   std::array<std::uint64_t, 6> outcome_counts_{};

@@ -21,6 +21,15 @@ bool before(const A& a, const B& b) {
   if (a.time != b.time) return a.time < b.time;
   return a.seq < b.seq;
 }
+
+void check_pushable(SimTime time, const EventAction& action) {
+  if (!std::isfinite(time)) {
+    throw std::invalid_argument("EventQueue::push: non-finite event time");
+  }
+  if (!action) {
+    throw std::invalid_argument("EventQueue::push: empty action");
+  }
+}
 }  // namespace
 
 EventQueue::EventQueue() : live_(std::make_shared<std::size_t>(0)) {}
@@ -47,27 +56,34 @@ void EventQueue::recycle(detail::EventRecord* rec) {
 }
 
 EventHandle EventQueue::push(SimTime time, EventAction action) {
-  if (!std::isfinite(time)) {
-    throw std::invalid_argument("EventQueue::push: non-finite event time");
-  }
-  if (!action) {
-    throw std::invalid_argument("EventQueue::push: empty action");
-  }
+  check_pushable(time, action);
+  detail::EventRecord* rec = insert(time, next_seq_++, std::move(action));
+  return EventHandle{std::weak_ptr<std::size_t>(live_), rec, rec->generation};
+}
+
+void EventQueue::push_reserved(SimTime time, EventSequence seq,
+                               EventAction action) {
+  check_pushable(time, action);
+  assert(seq < next_seq_);
+  insert(time, seq, std::move(action));
+}
+
+detail::EventRecord* EventQueue::insert(SimTime time, EventSequence seq,
+                                        EventAction action) {
   detail::EventRecord* rec = acquire();
   rec->time = time;
-  rec->seq = next_seq_++;
+  rec->seq = seq;
   rec->action = std::move(action);
   rec->cancelled = false;
-  EventHandle handle{std::weak_ptr<std::size_t>(live_), rec, rec->generation};
   ++*live_;
   if (calendar_mode_) {
     calendar_place(rec);
   } else {
-    heap_.push_back(HeapEntry{time, rec->seq, rec});
+    heap_.push_back(HeapEntry{time, seq, rec});
     sift_up(heap_.size() - 1);
     if (!heap_pinned_ && *live_ >= kCalendarEnter) enter_calendar();
   }
-  return handle;
+  return rec;
 }
 
 bool EventQueue::reschedule(const EventHandle& handle, SimTime time) {

@@ -55,6 +55,21 @@ class EventQueue {
   /// Inserts an event. `time` must be finite.
   EventHandle push(SimTime time, EventAction action);
 
+  /// Reserves `n` consecutive sequence numbers and returns the first;
+  /// later pushes number after the block. A block lets a caller keep
+  /// events out of the queue until they are due while they keep the
+  /// (time, seq) keys n consecutive pushes would have given them.
+  EventSequence reserve_sequences(std::size_t n) {
+    const EventSequence first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// Inserts an event under a sequence number taken from
+  /// reserve_sequences(). `time` must be finite. Each reserved number
+  /// may be pushed once.
+  void push_reserved(SimTime time, EventSequence seq, EventAction action);
+
   /// Moves the pending event behind `handle` to `time` (finite), reusing
   /// its record and action. The event takes the next sequence number, as
   /// a cancel followed by a push would, so it fires in exactly the order
@@ -99,6 +114,10 @@ class EventQueue {
   // -- shared slab plumbing --
   void recycle(detail::EventRecord* rec);
   [[nodiscard]] detail::EventRecord* acquire();
+  /// Places a validated event with key (time, seq) in the active
+  /// structure; returns its record.
+  detail::EventRecord* insert(SimTime time, EventSequence seq,
+                              EventAction action);
 
   // -- heap mode --
   /// Removes the front entry, refilling the slot from the back.

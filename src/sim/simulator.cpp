@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -39,6 +40,73 @@ EventHandle Simulator::schedule_in(SimTime delay, EventAction action) {
                           std::to_string(delay));
   }
   return schedule_at(now_ + delay, std::move(action));
+}
+
+void Simulator::check_batch(std::span<const SimTime> times) const {
+  for (const SimTime time : times) {
+    if (time < now_ - kTimeEpsilon) {
+      throw SchedulingError(
+          "Simulator::schedule_batch: event in the past (t=" +
+          std::to_string(time) + ", now=" + std::to_string(now_) + ")");
+    }
+    if (!std::isfinite(time)) {
+      throw std::invalid_argument(
+          "Simulator::schedule_batch: non-finite event time");
+    }
+  }
+}
+
+void Simulator::schedule_batch(std::span<const SimTime> times,
+                               std::function<void(std::size_t)> fire) {
+  if (!fire) {
+    throw std::invalid_argument("Simulator::schedule_batch: empty callback");
+  }
+  check_batch(times);
+  if (times.empty()) return;
+  Batch* batch = nullptr;
+  if (free_batches_.empty()) {
+    batch = &batches_.emplace_back();
+  } else {
+    batch = free_batches_.back();
+    free_batches_.pop_back();
+  }
+  batch->elements.clear();
+  batch->elements.reserve(times.size());
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    batch->elements.push_back({std::max(times[i], now_), i});
+  }
+  std::sort(batch->elements.begin(), batch->elements.end(),
+            [](const Batch::Element& a, const Batch::Element& b) {
+              if (a.time != b.time) return a.time < b.time;
+              return a.index < b.index;
+            });
+  batch->next = 0;
+  batch->first_seq = queue_.reserve_sequences(times.size());
+  batch->fire = std::move(fire);
+  push_batch_element(*batch);
+}
+
+void Simulator::push_batch_element(Batch& batch) {
+  const Batch::Element& element = batch.elements[batch.next];
+  queue_.push_reserved(element.time, batch.first_seq + element.index,
+                       [this, &batch] { fire_batch_element(batch); });
+  note_scheduled();
+}
+
+void Simulator::fire_batch_element(Batch& batch) {
+  const std::size_t index = batch.elements[batch.next].index;
+  ++batch.next;
+  if (batch.next < batch.elements.size()) {
+    push_batch_element(batch);
+    batch.fire(index);
+    return;
+  }
+  // Last element: release the slot before firing, so the callback may
+  // schedule a batch of its own into it.
+  const std::function<void(std::size_t)> fire = std::move(batch.fire);
+  batch.fire = nullptr;
+  free_batches_.push_back(&batch);
+  fire(index);
 }
 
 bool Simulator::reschedule_in(const EventHandle& handle, SimTime delay) {

@@ -5,9 +5,14 @@
 // kernel dispatches them in (time, scheduling-order) order.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/event.hpp"
 #include "sim/event_queue.hpp"
@@ -56,6 +61,24 @@ class Simulator {
   /// Schedules `action` after `delay` seconds (>= 0).
   EventHandle schedule_in(SimTime delay, EventAction action);
 
+  /// Schedules one event per element of `times`: element i fires at
+  /// max(times[i], now()) and calls `fire(i)`. The call reserves a block
+  /// of sequence numbers S..S+n-1 and element i fires under S + i — the
+  /// keys n consecutive schedule_at calls would give — so the dispatch
+  /// order is theirs, ties included. Only the unfired element with the
+  /// smallest (time, i) is pending; as it fires, the kernel pushes the
+  /// batch's next element, then calls `fire(i)`. Each push counts in
+  /// `sim.events_scheduled`. Every time is checked first (see
+  /// check_batch); on a throw nothing is scheduled and no sequence
+  /// number is used.
+  void schedule_batch(std::span<const SimTime> times,
+                      std::function<void(std::size_t)> fire);
+
+  /// Throws what schedule_batch would throw for `times` and schedules
+  /// nothing: SchedulingError for a time before now() - kTimeEpsilon,
+  /// std::invalid_argument for a non-finite one (first offender wins).
+  void check_batch(std::span<const SimTime> times) const;
+
   /// Moves the pending event behind `handle` to fire `delay` seconds
   /// (>= 0) from now, reusing its record and action. Fires in the same
   /// order as cancelling it and scheduling its action anew, and counts in
@@ -84,7 +107,8 @@ class Simulator {
     return dispatched_;
   }
 
-  /// Number of live pending events.
+  /// Number of live pending events. An unfinished batch counts once: only
+  /// its next element is in the queue.
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
   /// Timestamp of the next pending event (kTimeNever when none).
@@ -110,10 +134,30 @@ class Simulator {
   void set_metrics(obs::MetricsRegistry* registry);
 
  private:
+  /// A schedule_batch call's elements and the one that is pending.
+  struct Batch {
+    struct Element {
+      SimTime time = 0.0;  ///< already snapped to the scheduling instant
+      std::size_t index = 0;
+    };
+    std::vector<Element> elements;  ///< firing order: (time, index)
+    std::size_t next = 0;           ///< position of the pending element
+    EventSequence first_seq = 0;    ///< element i fires under first_seq + i
+    std::function<void(std::size_t)> fire;
+  };
+
   /// Counts a schedule (or a move) in the kernel's metrics.
   void note_scheduled();
+  /// Queues `batch`'s next element under its reserved sequence number.
+  void push_batch_element(Batch& batch);
+  /// The pending element's action: queue the next element, then fire.
+  void fire_batch_element(Batch& batch);
 
   EventQueue queue_;
+  /// Stable batch storage: a pending element's action holds a pointer
+  /// into it. Finished slots are recycled through free_batches_.
+  std::deque<Batch> batches_;
+  std::vector<Batch*> free_batches_;
   SimTime now_ = 0.0;
   std::uint64_t dispatched_ = 0;
   bool stop_requested_ = false;

@@ -124,6 +124,28 @@ TEST(ServiceMonitorTest, StandsDownWhenTheEventSetDrainsEarly) {
   EXPECT_FALSE(run.monitor->armed());
 }
 
+TEST(ServiceMonitorTest, KeepsSamplingAcrossAnArrivalGap) {
+  // Job 1 finishes at t=300 and job 2 arrives at t=1000. In between, the
+  // only other pending event is the arrival batch's next element: it must
+  // count as pending, or the monitor would stand down at t=300.
+  MonitoredRun run({make_job(1, 0.0, 2, 300.0, 5.0, 500.0),
+                    make_job(2, 1000.0, 2, 300.0, 5.0, 500.0)},
+                   /*period=*/100.0, /*horizon=*/10000.0);
+  const auto& samples = run.monitor->samples();
+  ASSERT_EQ(samples.size(), 13u);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_DOUBLE_EQ(samples[i].time, 100.0 * static_cast<double>(i + 1));
+  }
+  // t=500, inside the gap: job 1 settled, job 2 not yet submitted.
+  EXPECT_EQ(samples[4].submitted, 1u);
+  EXPECT_EQ(samples[4].fulfilled, 1u);
+  EXPECT_EQ(samples[4].in_flight, 0u);
+  EXPECT_EQ(samples.back().fulfilled, 2u);
+  EXPECT_DOUBLE_EQ(run.simk.now(), 1300.0);
+  EXPECT_EQ(run.simk.pending_events(), 0u);
+  EXPECT_FALSE(run.monitor->armed());
+}
+
 TEST(ServiceMonitorTest, StopCancelsThePendingTick) {
   sim::Simulator simk;
   policy::PolicyContext context;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <stdexcept>
+#include <vector>
 
 #include "service/computing_service.hpp"
 #include "workload/workload.hpp"
@@ -81,6 +83,87 @@ TEST(MetricsCollectorTest, UnfinishedTracksAcceptedNotFinished) {
   EXPECT_EQ(metrics.unfinished_count(), 1u);
   metrics.record_finished(1, 50.0, 10.0);
   EXPECT_EQ(metrics.unfinished_count(), 0u);
+}
+
+TEST(MetricsCollectorTest, RecordsVisitInAscendingIdWhateverTheArrival) {
+  MetricsCollector metrics;
+  // Fulfilled with the given wait. The waits make the double sum depend on
+  // its order: id order adds 1 to 2^53 (lost to rounding) and then 2;
+  // arrival order adds 2, then 1 (rounded up to 2^53 + 4).
+  const auto fulfil = [&metrics](workload::JobId id, double wait) {
+    workload::Job job = make_job(id, 0.0, 1, 1.0, 1.0, 10.0);
+    job.deadline_duration = 1e17;
+    metrics.record_submitted(job, 0.0);
+    metrics.record_accepted(id, 0.0, 1.0);
+    metrics.record_started(id, wait);
+    metrics.record_finished(id, wait + 1.0, 1.0);
+  };
+  const double big = 9007199254740992.0;  // 2^53
+  fulfil(5, 0.0);
+  fulfil(2, big);
+  fulfil(9, 2.0);
+  fulfil(7, 1.0);
+  std::vector<workload::JobId> visited;
+  metrics.for_each_record([&visited](const SlaRecord& record) {
+    visited.push_back(record.job.id);
+  });
+  EXPECT_EQ(visited, (std::vector<workload::JobId>{2, 5, 7, 9}));
+  const double id_order = ((big + 0.0) + 1.0) + 2.0;
+  const double arrival_order = ((0.0 + big) + 2.0) + 1.0;
+  ASSERT_NE(id_order, arrival_order);
+  EXPECT_EQ(metrics.objective_inputs().wait_sum_fulfilled, id_order);
+  EXPECT_EQ(metrics.objective_inputs().fulfilled, 4u);
+}
+
+TEST(MetricsCollectorTest, RecordReferencesSurviveLaterSubmissions) {
+  MetricsCollector metrics;
+  metrics.record_submitted(make_job(2, 7.0, 1, 100.0, 5.0, 1000.0), 7.0);
+  const SlaRecord& record = metrics.record(2);
+  for (workload::JobId id = 100; id < 10'100; ++id) {
+    metrics.record_submitted(make_job(id, 8.0, 1, 100.0, 5.0, 1000.0), 8.0);
+  }
+  EXPECT_EQ(&metrics.record(2), &record);
+  EXPECT_EQ(record.job.id, 2u);
+  EXPECT_DOUBLE_EQ(record.submit_time, 7.0);
+  EXPECT_EQ(metrics.submitted_count(), 10'001u);
+  EXPECT_THROW(
+      metrics.record_submitted(make_job(2, 9.0, 1, 100.0, 5.0, 1000.0), 9.0),
+      std::logic_error);
+  EXPECT_THROW((void)metrics.record(3), std::out_of_range);
+}
+
+// --------------------------------------------------------- ComputingService
+
+TEST(ServiceTest, SubmitAllIsAllOrNothing) {
+  sim::Simulator simk;
+  policy::PolicyContext context;
+  context.simulator = &simk;
+  context.model = economy::EconomicModel::BidBased;
+  context.failure.mtbf_seconds = 5000.0;
+  ComputingService service(simk, policy::PolicyKind::FcfsBf, context);
+  simk.schedule_at(50.0, [] {});
+  simk.run();
+  ASSERT_DOUBLE_EQ(simk.now(), 50.0);
+  const std::size_t pending = simk.pending_events();
+
+  // Job 2 is dated before now(): the whole batch is refused before any
+  // job is counted, scheduled or the failure injector armed.
+  EXPECT_THROW(service.submit_all({make_job(1, 60.0, 1, 100.0, 5.0, 500.0),
+                                   make_job(2, 10.0, 1, 100.0, 5.0, 500.0),
+                                   make_job(3, 70.0, 1, 100.0, 5.0, 500.0)}),
+               sim::SchedulingError);
+  EXPECT_EQ(simk.pending_events(), pending);
+
+  service.submit_all({make_job(4, 60.0, 1, 100.0, 5.0, 500.0),
+                      make_job(5, 70.0, 1, 100.0, 5.0, 500.0)});
+  simk.run(1e7);
+  EXPECT_EQ(simk.pending_events(), 0u) << "the injector disarmed";
+  EXPECT_EQ(service.metrics().submitted_count(), 2u);
+  EXPECT_EQ(service.metrics().unfinished_count(), 0u);
+  EXPECT_NE(service.metrics().record(4).outcome,
+            workload::JobOutcome::Unfinished);
+  EXPECT_NE(service.metrics().record(5).outcome,
+            workload::JobOutcome::Unfinished);
 }
 
 // ------------------------------------------------------------- simulate()

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -284,6 +286,156 @@ TEST(SimulatorTest, NegativeDelaySlackSnapsToNow) {
   });
   simk.run();
   EXPECT_EQ(fired, 1);
+}
+
+// ------------------------------------------------------------------ Batches
+
+/// One dispatched event: the instant it fired and what it was.
+using Dispatch = std::pair<SimTime, long>;
+
+/// Schedules `times` as one batch or, as the reference, one schedule_at
+/// per element in index order. Element i logs `base + i`; every third
+/// element also schedules a follow-up at its own instant, logged negated.
+void schedule_group(Simulator& simk, bool batched,
+                    const std::vector<SimTime>& times, long base,
+                    std::vector<Dispatch>& log) {
+  const auto fire = [&simk, &log, base](std::size_t i) {
+    const long tag = base + static_cast<long>(i);
+    log.emplace_back(simk.now(), tag);
+    if (i % 3 == 0) {
+      simk.schedule_at(simk.now(), [&simk, &log, tag] {
+        log.emplace_back(simk.now(), -tag);
+      });
+    }
+  };
+  if (batched) {
+    simk.schedule_batch(times, fire);
+    return;
+  }
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    simk.schedule_at(times[i], [fire, i] { fire(i); });
+  }
+}
+
+/// Times on a coarse grid (so they tie with each other and with the
+/// fillers), in random order.
+std::vector<SimTime> grid_times(Rng& rng, std::size_t n, SimTime offset) {
+  std::vector<SimTime> times(n);
+  for (SimTime& t : times) {
+    t = offset + 10.0 * static_cast<double>(rng.uniform_int(0, 60));
+  }
+  return times;
+}
+
+/// Runs the batch script: `fillers` plain events spread over the run, two
+/// overlapping top-level groups, and a group scheduled from inside an
+/// event at t=250 whose times reach kTimeEpsilon into the past. Returns
+/// the dispatch log; `events` receives the dispatched count.
+std::vector<Dispatch> run_batch_script(std::uint64_t seed, bool batched,
+                                       bool pin_heap, std::size_t fillers,
+                                       std::uint64_t& events) {
+  Rng rng(seed);
+  Simulator simk;
+  if (pin_heap) simk.pin_heap_event_queue();
+  std::vector<Dispatch> log;
+  for (std::size_t k = 0; k < fillers; ++k) {
+    const long tag = 1'000'000 + static_cast<long>(k);
+    simk.schedule_at(static_cast<double>(rng.uniform_int(0, 650)),
+                     [&simk, &log, tag] { log.emplace_back(simk.now(), tag); });
+  }
+  schedule_group(simk, batched, grid_times(rng, 200, 0.0), 0, log);
+  std::vector<SimTime> nested_offsets = grid_times(rng, 60, 0.0);
+  nested_offsets[0] = -kTimeEpsilon;
+  nested_offsets[1] = -0.5 * kTimeEpsilon;
+  nested_offsets[2] = 0.0;
+  nested_offsets[3] = -kTimeEpsilon;
+  simk.schedule_at(250.0, [&, nested_offsets] {
+    log.emplace_back(simk.now(), 900'000);
+    std::vector<SimTime> times;
+    for (const SimTime offset : nested_offsets) {
+      times.push_back(simk.now() + offset);
+    }
+    schedule_group(simk, batched, times, 20'000, log);
+  });
+  schedule_group(simk, batched, grid_times(rng, 150, 5.0), 10'000, log);
+  simk.run();
+  events = simk.events_dispatched();
+  return log;
+}
+
+TEST(SimulatorTest, BatchFiresLikeOneScheduleAtPerElement) {
+  for (const bool pin_heap : {true, false}) {
+    // More fillers than kCalendarEnter keep the unpinned queue in
+    // calendar mode for most of the run.
+    const std::size_t fillers =
+        pin_heap ? 40 : EventQueue::kCalendarEnter + 300;
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      std::uint64_t batch_events = 0;
+      std::uint64_t reference_events = 0;
+      const std::vector<Dispatch> batched =
+          run_batch_script(seed, true, pin_heap, fillers, batch_events);
+      const std::vector<Dispatch> reference =
+          run_batch_script(seed, false, pin_heap, fillers, reference_events);
+      ASSERT_EQ(batched.size(), 200 + 150 + 60 + 1 + (67 + 50 + 20) + fillers);
+      EXPECT_EQ(batched, reference)
+          << "seed " << seed << (pin_heap ? " (heap)" : " (calendar)");
+      EXPECT_EQ(batch_events, reference_events);
+    }
+  }
+}
+
+TEST(SimulatorTest, BatchCountsAsOnePendingEvent) {
+  obs::MetricsRegistry metrics(true);
+  Simulator simk;
+  simk.set_metrics(&metrics);
+  std::vector<std::size_t> fired;
+  const std::vector<SimTime> times = {30.0, 10.0, 20.0};
+  simk.schedule_batch(times, [&](std::size_t i) { fired.push_back(i); });
+  EXPECT_EQ(simk.pending_events(), 1u);
+  EXPECT_DOUBLE_EQ(simk.next_event_time(), 10.0);
+  EXPECT_EQ(metrics.counter("sim.events_scheduled").value(), 1u);
+  ASSERT_TRUE(simk.step());
+  EXPECT_EQ(simk.pending_events(), 1u);
+  EXPECT_DOUBLE_EQ(metrics.gauge("sim.queue_depth").value(), 1.0);
+  EXPECT_EQ(simk.run(), 2u);
+  EXPECT_EQ(fired, (std::vector<std::size_t>{1, 2, 0}));
+  EXPECT_EQ(simk.pending_events(), 0u);
+  EXPECT_EQ(metrics.counter("sim.events_scheduled").value(), 3u)
+      << "each element counts as it is pushed";
+}
+
+TEST(SimulatorTest, RefusedBatchSchedulesNothing) {
+  const auto script = [](bool with_bad_batches) {
+    obs::MetricsRegistry metrics(true);
+    Simulator simk;
+    simk.set_metrics(&metrics);
+    std::vector<Dispatch> log;
+    simk.schedule_at(10.0, [] {});
+    simk.run();
+    simk.schedule_at(20.0, [&] { log.emplace_back(simk.now(), 1); });
+    if (with_bad_batches) {
+      const auto fire = [&](std::size_t i) {
+        log.emplace_back(simk.now(), static_cast<long>(100 + i));
+      };
+      const std::vector<SimTime> past = {30.0, 5.0, 40.0};
+      EXPECT_THROW(simk.schedule_batch(past, fire), SchedulingError);
+      EXPECT_THROW(simk.check_batch(past), SchedulingError);
+      const std::vector<SimTime> not_finite = {30.0, std::nan(""), 20.0};
+      EXPECT_THROW(simk.schedule_batch(not_finite, fire),
+                   std::invalid_argument);
+      const std::vector<SimTime> never = {kTimeNever};
+      EXPECT_THROW(simk.schedule_batch(never, fire), std::invalid_argument);
+      EXPECT_THROW(simk.schedule_batch({}, nullptr), std::invalid_argument);
+      EXPECT_EQ(simk.pending_events(), 1u);
+      EXPECT_EQ(metrics.counter("sim.events_scheduled").value(), 2u);
+    }
+    simk.schedule_at(20.0, [&] { log.emplace_back(simk.now(), 2); });
+    simk.run();
+    return log;
+  };
+  const std::vector<Dispatch> refused = script(true);
+  EXPECT_EQ(refused, script(false));
+  EXPECT_EQ(refused, (std::vector<Dispatch>{{20.0, 1}, {20.0, 2}}));
 }
 
 // ----------------------------------------------------------------------- Rng
