@@ -4,12 +4,11 @@
 // node counts 128 / 1k / 10k / 100k under one space-shared policy
 // (FCFS-BF) and one time-shared policy (Libra), reading the kernel gauges
 // (`sim.events_per_sec`, `cluster.decision_ns`) introduced with the
-// indexed executors. At n=1024 it additionally measures a pre-PR-
-// equivalent baseline in-process — Libra with the original full-scan
-// best-fit selection on a heap-pinned event queue — and asserts the two
-// implementations produce bit-identical run digests before reporting the
-// speedup. A micro section re-measures raw EventQueue push/pop throughput
-// next to the pre-PR numbers recorded in bench_micro_kernel's history.
+// indexed executors. At n=1024 it additionally runs Libra with the
+// full-scan best-fit selection the share index replaced, in-process and on
+// the same event queue as the indexed run, so the speedup isolates node
+// selection; it asserts the two produce bit-identical run digests before
+// reporting that speedup.
 //
 // Writes <out>/BENCH_kernel_scaling.json. Environment knobs, on top of
 // the usual REPRO_OUT / REPRO_JOBS:
@@ -19,6 +18,7 @@
 //                1024 is in the list).
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -27,12 +27,10 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "policy/libra.hpp"
 #include "service/computing_service.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/rng.hpp"
-#include "sim/simulator.hpp"
 #include "workload/scaled.hpp"
 #include "workload/workload.hpp"
 
@@ -40,12 +38,6 @@ namespace {
 
 using namespace utilrisk;
 using Clock = std::chrono::steady_clock;
-
-// bench_micro_kernel's BM_EventQueuePushPop on the pre-PR heap-only
-// queue, measured on the reference machine immediately before this PR
-// (items/s, push-all-then-pop-all).
-constexpr double kPrePrMicroItemsPerSec1024 = 9.17e6;
-constexpr double kPrePrMicroItemsPerSec16384 = 5.07e6;
 
 // Full-kernel pre-PR baseline at n=1024: the EXACT scenario below
 // (scaled_sdsc_config(1024, 5000), arrival factor 0.25, BidBased), run
@@ -156,23 +148,14 @@ double find_gauge(const obs::MetricSnapshot& snap, const std::string& name) {
 
 RunResult run_once(const std::vector<workload::Job>& jobs,
                    const service::PolicyFactory& factory, std::uint32_t nodes,
-                   bool pin_heap, const std::string& label,
-                   bool with_registry = true) {
+                   const std::string& label, bool with_registry = true) {
   obs::MetricsRegistry registry;
   policy::PolicyContext context;
   context.machine.node_count = nodes;
   context.model = economy::EconomicModel::BidBased;
   context.metrics = with_registry ? &registry : nullptr;
-  service::PolicyFactory wrapped = factory;
-  if (pin_heap) {
-    wrapped = [&factory](const policy::PolicyContext& ctx,
-                         policy::PolicyHost& host) {
-      ctx.simulator->pin_heap_event_queue();
-      return factory(ctx, host);
-    };
-  }
   const auto start = Clock::now();
-  const auto report = service::simulate(jobs, wrapped, context);
+  const auto report = service::simulate(jobs, factory, context);
   const double wall =
       std::chrono::duration<double>(Clock::now() - start).count();
   const auto snap = registry.snapshot();
@@ -225,42 +208,6 @@ std::vector<std::uint32_t> node_counts_from_env() {
   return nodes;
 }
 
-struct MicroResult {
-  std::size_t n = 0;
-  double heap_items_per_sec = 0.0;
-  double calendar_items_per_sec = 0.0;
-};
-
-/// Raw push-all-then-pop-all EventQueue throughput, same shape as
-/// bench_micro_kernel's BM_EventQueuePushPop.
-MicroResult micro_queue(std::size_t n, int iters) {
-  sim::Rng rng(1);
-  std::vector<double> times(n);
-  for (auto& t : times) t = rng.uniform(0.0, 1e6);
-  MicroResult result;
-  result.n = n;
-  for (int mode = 0; mode < 2; ++mode) {
-    double seconds = 0.0;
-    for (int it = -2; it < iters; ++it) {  // two warmup rounds
-      sim::EventQueue queue;
-      if (mode == 0) queue.force_heap_mode();
-      const auto t0 = Clock::now();
-      for (double t : times) queue.push(t, [] {});
-      while (auto rec = queue.pop()) {
-        if (rec->time < 0.0) return result;  // defeat dead-code elimination
-      }
-      if (it >= 0) {
-        seconds += std::chrono::duration<double>(Clock::now() - t0).count();
-      }
-    }
-    const double items_per_sec =
-        static_cast<double>(n) * iters / (seconds > 0.0 ? seconds : 1e-9);
-    (mode == 0 ? result.heap_items_per_sec : result.calendar_items_per_sec) =
-        items_per_sec;
-  }
-  return result;
-}
-
 }  // namespace
 
 int main() {
@@ -289,14 +236,12 @@ int main() {
     const auto jobs = builder.build(workload::QosConfig{}, 0.25, 100.0);
 
     const auto fcfs = run_once(
-        jobs, service::factory_for(policy::PolicyKind::FcfsBf), n, false,
-        "FCFS-BF");
+        jobs, service::factory_for(policy::PolicyKind::FcfsBf), n, "FCFS-BF");
     print_result(fcfs);
     scaling.push_back(fcfs);
 
     const auto libra = run_once(
-        jobs, service::factory_for(policy::PolicyKind::Libra), n, false,
-        "Libra");
+        jobs, service::factory_for(policy::PolicyKind::Libra), n, "Libra");
     print_result(libra);
     scaling.push_back(libra);
 
@@ -306,15 +251,15 @@ int main() {
       //       pre-PR baseline constants were measured (events / simulate
       //       wall), with the digests pinned to the values the pre-PR
       //       binary produced;
-      //  3.   Libra with the pre-PR node selection (full scan + sort) on
-      //       a heap-pinned event queue, in-process — isolates the
-      //       selection + queue share of the win and proves placement
-      //       equivalence at runtime.
+      //  3.   Libra with the full-scan node selection (scan + sort), in-
+      //       process on the same event queue — isolates the selection
+      //       share of the win and proves placement equivalence at
+      //       runtime.
       fcfs_now_1024 = run_once(
-          jobs, service::factory_for(policy::PolicyKind::FcfsBf), n, false,
+          jobs, service::factory_for(policy::PolicyKind::FcfsBf), n,
           "FCFS-BF (no registry)", false);
       libra_now_1024 = run_once(
-          jobs, service::factory_for(policy::PolicyKind::Libra), n, false,
+          jobs, service::factory_for(policy::PolicyKind::Libra), n,
           "Libra (no registry)", false);
       print_result(fcfs_now_1024);
       print_result(libra_now_1024);
@@ -339,7 +284,7 @@ int main() {
           [](const policy::PolicyContext& ctx, policy::PolicyHost& host) {
             return std::make_unique<NaiveLibraPolicy>(ctx, host);
           };
-      baseline = run_once(jobs, naive, n, true, "Libra(naive+heap)", false);
+      baseline = run_once(jobs, naive, n, "Libra(naive+heap)", false);
       print_result(baseline);
       if (baseline.digest != libra.digest) {
         std::fprintf(stderr,
@@ -350,80 +295,62 @@ int main() {
       if (baseline.events_per_sec > 0.0) {
         speedup_vs_naive_1024 =
             libra_now_1024.events_per_sec / baseline.events_per_sec;
-        std::printf("n=1024 indexed+calendar vs naive+heap: %.2fx\n",
+        std::printf("n=1024 indexed vs naive: %.2fx\n",
                     speedup_vs_naive_1024);
       }
     }
   }
 
-  const MicroResult micro_1k = micro_queue(1024, 400);
-  const MicroResult micro_16k = micro_queue(16384, 40);
-  std::printf("micro n=1024  heap %.2f M/s  calendar %.2f M/s\n",
-              micro_1k.heap_items_per_sec / 1e6,
-              micro_1k.calendar_items_per_sec / 1e6);
-  std::printf("micro n=16384 heap %.2f M/s  calendar %.2f M/s\n",
-              micro_16k.heap_items_per_sec / 1e6,
-              micro_16k.calendar_items_per_sec / 1e6);
-
-  const std::string path = env.out_dir + "/BENCH_kernel_scaling.json";
-  std::ofstream json(path);
-  json.precision(6);
-  json << "{\n"
-       << "  \"bench\": \"kernel_scaling\",\n"
-       << "  \"scaling\": [\n";
-  for (std::size_t i = 0; i < scaling.size(); ++i) {
-    const RunResult& r = scaling[i];
-    json << "    {\"nodes\": " << r.nodes << ", \"policy\": \"" << r.policy
-         << "\", \"jobs\": " << r.jobs << ", \"events\": " << r.events
-         << ", \"wall_s\": " << r.wall_s
-         << ", \"events_per_sec\": " << r.events_per_sec
-         << ", \"decision_ns\": " << r.decision_ns
-         << ", \"utilization\": " << r.utilization
-         << ", \"fulfilled\": " << r.fulfilled << ", \"digest\": \""
-         << r.digest << "\"}" << (i + 1 < scaling.size() ? "," : "")
-         << "\n";
+  using obs::json::Value;
+  Value rows(obs::json::Array{});
+  for (const RunResult& r : scaling) {
+    Value row;
+    row.set("nodes", std::uint64_t{r.nodes});
+    row.set("policy", r.policy);
+    row.set("jobs", std::uint64_t{r.jobs});
+    row.set("events", r.events);
+    row.set("wall_s", r.wall_s);
+    row.set("events_per_sec", r.events_per_sec);
+    row.set("decision_ns", r.decision_ns);
+    row.set("utilization", r.utilization);
+    row.set("fulfilled", r.fulfilled);
+    row.set("digest", r.digest);
+    rows.push_back(row);
   }
-  json << "  ],\n";
+  Value root;
+  root.set("bench", "kernel_scaling");
+  root.set("scaling", rows);
   if (!baseline.policy.empty()) {
-    json << "  \"pre_pr_n1024\": {\n"
-         << "    \"commit\": \"" << kPrePrCommit << "\",\n"
-         << "    \"method\": \"same scenario and machine, pre-PR Release "
-            "build, wall clock around simulate(), no metrics registry, "
-            "median of 3 alternated runs; run digests bit-identical to "
-            "the current build\",\n"
-         << "    \"fcfs_bf_events_per_sec\": " << kPrePrFcfsEventsPerSec1024
-         << ",\n"
-         << "    \"libra_events_per_sec\": " << kPrePrLibraEventsPerSec1024
-         << "\n  },\n"
-         << "  \"current_n1024_same_method\": {\"fcfs_bf_events_per_sec\": "
-         << fcfs_now_1024.events_per_sec << ", \"libra_events_per_sec\": "
-         << libra_now_1024.events_per_sec << "},\n"
-         << "  \"speedup_vs_pre_pr_n1024\": {\"fcfs_bf\": "
-         << speedup_fcfs_1024 << ", \"libra\": " << speedup_libra_1024
-         << "},\n"
-         << "  \"baseline_naive_heap_n1024\": {\"policy\": \""
-         << baseline.policy
-         << "\", \"events_per_sec\": " << baseline.events_per_sec
-         << ", \"wall_s\": " << baseline.wall_s << ", \"digest\": \""
-         << baseline.digest << "\", \"digest_matches_indexed\": true},\n"
-         << "  \"speedup_vs_naive_heap_n1024\": " << speedup_vs_naive_1024
-         << ",\n";
+    Value pre_index;
+    pre_index.set("commit", kPrePrCommit);
+    pre_index.set("method",
+                  "same scenario and machine, Release build of that commit, "
+                  "wall clock around simulate(), no metrics registry, "
+                  "median of 3 alternated runs; run digests bit-identical "
+                  "to the current build");
+    pre_index.set("fcfs_bf_events_per_sec", kPrePrFcfsEventsPerSec1024);
+    pre_index.set("libra_events_per_sec", kPrePrLibraEventsPerSec1024);
+    root.set("pre_pr_n1024", pre_index);
+    Value current;
+    current.set("fcfs_bf_events_per_sec", fcfs_now_1024.events_per_sec);
+    current.set("libra_events_per_sec", libra_now_1024.events_per_sec);
+    root.set("current_n1024_same_method", current);
+    Value speedup;
+    speedup.set("fcfs_bf", speedup_fcfs_1024);
+    speedup.set("libra", speedup_libra_1024);
+    root.set("speedup_vs_pre_pr_n1024", speedup);
+    Value naive_run;
+    naive_run.set("policy", baseline.policy);
+    naive_run.set("events_per_sec", baseline.events_per_sec);
+    naive_run.set("wall_s", baseline.wall_s);
+    naive_run.set("digest", baseline.digest);
+    naive_run.set("digest_matches_indexed", true);
+    root.set("baseline_naive_heap_n1024", naive_run);
+    root.set("speedup_vs_naive_heap_n1024", speedup_vs_naive_1024);
   }
-  json << "  \"micro_event_queue\": {\n"
-       << "    \"pre_pr_heap_items_per_sec_n1024\": "
-       << kPrePrMicroItemsPerSec1024 << ",\n"
-       << "    \"pre_pr_heap_items_per_sec_n16384\": "
-       << kPrePrMicroItemsPerSec16384 << ",\n"
-       << "    \"heap_items_per_sec_n1024\": " << micro_1k.heap_items_per_sec
-       << ",\n"
-       << "    \"calendar_items_per_sec_n1024\": "
-       << micro_1k.calendar_items_per_sec << ",\n"
-       << "    \"heap_items_per_sec_n16384\": "
-       << micro_16k.heap_items_per_sec << ",\n"
-       << "    \"calendar_items_per_sec_n16384\": "
-       << micro_16k.calendar_items_per_sec << "\n"
-       << "  }\n"
-       << "}\n";
+  const std::string path = env.out_dir + "/BENCH_kernel_scaling.json";
+  std::ofstream out(path);
+  root.dump(out);
   std::printf("wrote %s\n", path.c_str());
   return 0;
 }

@@ -2,12 +2,14 @@
 """Kernel-scaling regression gate for CI.
 
 Compares fresh BENCH_kernel_scaling.json runs against the checked-in
-baseline and fails when any (nodes, policy) point present in both files
-regresses in events/sec by more than the allowed fraction. Several
-current files may be given; each point is judged on its best run
-(best-of-N filters scheduler noise on shared CI runners without masking
-real regressions, which the indexed-vs-linear work shows up as integer
-multiples, not percents). Digests are compared too: an events/sec change
+baseline and fails when any (nodes, policy) point regresses in events/sec
+by more than the allowed fraction. At every node count a current file
+measured, it must carry exactly the baseline's policy labels: a missing
+or unknown label is an error, not an ungated point. Several current files
+may be given; each point is judged on its best run (best-of-N filters
+scheduler noise on shared CI runners without masking real regressions,
+which the indexed-vs-linear work shows up as integer multiples, not
+percents). Digests are compared too: an events/sec change
 with a digest change is a behaviour change, not a perf regression, and
 gets its own error message.
 
@@ -33,17 +35,27 @@ def main():
 
     baseline = load_points(args.baseline)
     current = {}
+    failures = []
     for path in args.current:
-        for key, row in load_points(path).items():
+        points = load_points(path)
+        for nodes in sorted({n for n, _ in points}):
+            expected = {p for n, p in baseline if n == nodes}
+            measured = {p for n, p in points if n == nodes}
+            for policy in sorted(expected - measured):
+                failures.append(f"{path}: n={nodes} is missing {policy!r}")
+            for policy in sorted(measured - expected):
+                failures.append(
+                    f"{path}: n={nodes} has {policy!r}, which the baseline"
+                    " does not"
+                )
+        for key, row in points.items():
             best = current.get(key)
             if best is None or row["events_per_sec"] > best["events_per_sec"]:
                 current[key] = row
     shared = sorted(set(baseline) & set(current))
     if not shared:
-        print("error: no (nodes, policy) points in common", file=sys.stderr)
-        return 1
+        failures.append("no (nodes, policy) points in common")
 
-    failures = []
     for key in shared:
         base, cur = baseline[key], current[key]
         if base["digest"] != cur["digest"]:

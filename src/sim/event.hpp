@@ -31,9 +31,9 @@ struct EventRecord {
   EventSequence seq = 0;
   EventAction action;
   bool cancelled = false;
-  /// Slot in the heap array while the queue is in heap mode, so a move
-  /// (EventQueue::reschedule) sifts from here without a search. 32 bits
-  /// sit in the padding after `cancelled`, keeping the record at 64 bytes.
+  /// Slot in the queue's heap array, so a move (EventQueue::reschedule)
+  /// sifts from here without a search. 32 bits sit in the padding after
+  /// `cancelled`, keeping the record at 64 bytes.
   std::uint32_t heap_pos = 0;
   std::uint64_t generation = 0;
 };

@@ -118,12 +118,6 @@ class Simulator {
   [[nodiscard]] Logger& logger() { return logger_; }
   [[nodiscard]] const Logger& logger() const { return logger_; }
 
-  /// Pins the event queue to the binary heap regardless of its size.
-  /// Benchmarks use this to measure the pre-calendar kernel baseline;
-  /// tests use it to compare structures. Call before the first event is
-  /// scheduled (see EventQueue::force_heap_mode).
-  void pin_heap_event_queue() { queue_.force_heap_mode(); }
-
   /// Attaches (or detaches, with nullptr) a metrics registry. The kernel
   /// resolves its instruments once here — `sim.events_scheduled`,
   /// `sim.events_dispatched`, `sim.queue_depth`, `sim.events_per_sec` —

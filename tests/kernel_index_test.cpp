@@ -1,5 +1,5 @@
 // Property tests for the O(log n) kernel indexes: every indexed structure
-// (free-node bitmap, finish index, share index, calendar event queue) is
+// (free-node bitmap, finish index, share index, event queue) is
 // checked against a naive O(n) reference model under seeded random
 // operation sequences. The indexes exist purely for speed — any observable
 // divergence from the naive answer is a determinism bug.
@@ -10,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "cluster/free_index.hpp"
@@ -398,201 +399,164 @@ TEST(TimeSharedPropertyTest, RejectsDuplicateNodeIds) {
 }  // namespace
 }  // namespace utilrisk::cluster
 
-// ------------------------------------------- EventQueue calendar-heap parity
+// ------------------------------------------ EventQueue vs naive (time, seq)
 
 namespace utilrisk::sim {
 namespace {
 
-/// One event as scheduled in all three queues, plus its sequence number
-/// in a naive model (every push and every successful move takes the next
-/// sequence number in each queue, so the model can predict it).
+/// An event's key in the naive model: the (time, seq) total order.
+using Key = std::pair<SimTime, EventSequence>;
+
+/// One event as scheduled in both queues, plus its key while the naive
+/// model holds it pending (every push and every successful move takes the
+/// next sequence number in each queue, so the model can predict it).
 struct TrackedEvent {
-  EventHandle heap;
-  EventHandle calendar;
+  EventHandle moving;
   EventHandle reference;
-  EventSequence seq = 0;
+  std::optional<Key> key;
 };
 
-/// Index of the pending event with the least (time, seq), or nullopt.
-std::optional<std::size_t> minimum_of(const std::vector<TrackedEvent>& events) {
-  std::optional<std::size_t> best;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const TrackedEvent& e = events[i];
-    if (!e.heap.pending()) continue;
-    const double best_time = best ? events[*best].heap.time() : kTimeNever;
-    if (!best || e.heap.time() < best_time ||
-        (e.heap.time() == best_time && e.seq < events[*best].seq)) {
-      best = i;
-    }
-  }
-  return best;
-}
+/// A seeded operation stream. Event times are drawn from [lo, hi], and a
+/// share `outlier_probability` of them is multiplied by 1e6. An operation
+/// is a push with probability `push_share` (a pop once every push is
+/// made, so the queue drains); the rest split 2:3:5 between cancel, move
+/// and pop.
+struct PopStreamInput {
+  std::uint64_t seed = 0;
+  int pushes = 0;
+  double lo = 0.0;
+  double hi = 0.0;
+  double outlier_probability = 0.0;
+  double push_share = 0.5;
+  /// The test fails unless the queues reach this many live events.
+  std::size_t min_peak_live = 0;
+};
 
-/// Drives three queues through an identical operation sequence — one
-/// pinned to the heap and one free to migrate to the calendar, both moving
-/// events in place with reschedule(), and a heap-pinned reference that
-/// replaces every move with cancel + push — and asserts the pop streams
-/// are identical (time AND sequence number: the full total order). Moves
-/// go to random times, to exactly the current minimum's time, and to just
-/// before it; a third of them move the current minimum itself, which the
-/// calendar holds cached (next_time() ran after the previous operation).
-void expect_identical_pop_streams(std::uint64_t seed, int pushes,
-                                  double lo, double hi,
-                                  double outlier_probability) {
-  EventQueue heap_queue;
-  heap_queue.force_heap_mode();
-  EventQueue calendar_queue;
+/// Drives two queues through one operation sequence — one moving events
+/// in place with reschedule(), a reference that replaces every move with
+/// cancel + push — and after every operation checks both against a naive
+/// model of the pending (time, seq) keys: pop() returns the model's
+/// minimum (time AND sequence number: the full total order), next_time()
+/// its minimum time and size() its count. Moves go to random times, to
+/// exactly the current minimum's time, and to just below it; a third of
+/// them move the current minimum itself.
+void expect_pops_match_model(const PopStreamInput& input) {
+  EventQueue moving_queue;
   EventQueue reference_queue;
-  reference_queue.force_heap_mode();
-  Rng rng(seed);
+  std::map<Key, std::size_t> model;  // pending key -> index into events
+  Rng rng(input.seed);
 
   std::vector<TrackedEvent> events;
   EventSequence next_seq = 0;
   int pushed = 0;
-  bool saw_calendar = false;
-  bool saw_calendar_move = false;
-  while (pushed < pushes || !calendar_queue.empty()) {
+  std::size_t peak_live = 0;
+  const double rest = 1.0 - input.push_share;
+  const double cancel_below = input.push_share + 0.2 * rest;
+  const double move_below = input.push_share + 0.5 * rest;
+  while (pushed < input.pushes || !model.empty()) {
     const double roll = rng.uniform01();
-    if (pushed < pushes && roll < 0.5) {
-      double t = rng.uniform(lo, hi);
-      if (outlier_probability > 0.0 && rng.bernoulli(outlier_probability)) {
-        t *= 1e6;  // far outlier: stresses bucket-width adaptation
+    if (roll < input.push_share && pushed < input.pushes) {
+      double t = rng.uniform(input.lo, input.hi);
+      if (input.outlier_probability > 0.0 &&
+          rng.bernoulli(input.outlier_probability)) {
+        t *= 1e6;
       }
-      events.push_back(TrackedEvent{heap_queue.push(t, [] {}),
-                                    calendar_queue.push(t, [] {}),
-                                    reference_queue.push(t, [] {}),
-                                    next_seq++});
+      const Key key{t, next_seq++};
+      model.emplace(key, events.size());
+      events.push_back(TrackedEvent{moving_queue.push(t, [] {}),
+                                    reference_queue.push(t, [] {}), key});
       ++pushed;
-    } else if (roll < 0.6 && !events.empty()) {
-      // Cancel the same (random) pending event in every queue.
+    } else if (roll >= input.push_share && roll < cancel_below &&
+               !events.empty()) {
+      // Cancel the same random event, pending or not, in both queues.
       TrackedEvent& e = events[rng.uniform_int(0, events.size() - 1)];
-      const bool a = e.heap.cancel();
-      const bool b = e.calendar.cancel();
-      const bool c = e.reference.cancel();
-      ASSERT_EQ(a, b);
-      ASSERT_EQ(a, c);
-    } else if (roll < 0.75 && !events.empty()) {
-      std::size_t pick = rng.uniform_int(0, events.size() - 1);
-      if (rng.bernoulli(1.0 / 3.0)) {
-        if (const auto min = minimum_of(events)) pick = *min;
+      ASSERT_EQ(e.moving.cancel(), e.key.has_value());
+      ASSERT_EQ(e.reference.cancel(), e.key.has_value());
+      if (e.key) {
+        model.erase(*e.key);
+        e.key.reset();
       }
-      const SimTime min_time = reference_queue.next_time();
-      double t = rng.uniform(lo, hi);
+    } else if (roll >= cancel_below && roll < move_below &&
+               !events.empty()) {
+      std::size_t pick = rng.uniform_int(0, events.size() - 1);
+      if (rng.bernoulli(1.0 / 3.0) && !model.empty()) {
+        pick = model.begin()->second;
+      }
+      const SimTime min_time =
+          model.empty() ? kTimeNever : model.begin()->first.first;
+      double t = rng.uniform(input.lo, input.hi);
       const std::uint64_t target = rng.uniform_int(0, 2);
       if (min_time != kTimeNever && target == 1) {
         t = min_time;  // ties the minimum: must pop after it (later seq)
       } else if (min_time != kTimeNever && target == 2) {
-        t = min_time - rng.uniform(0.0, 0.01 * (hi - lo));  // new minimum
+        t = min_time - rng.uniform(0.0, 0.01 * (input.hi - input.lo));
       }
       TrackedEvent& e = events[pick];
-      const bool in_calendar = calendar_queue.calendar_active();
-      const bool a = heap_queue.reschedule(e.heap, t);
-      const bool b = calendar_queue.reschedule(e.calendar, t);
-      const bool c = e.reference.cancel();
-      if (c) e.reference = reference_queue.push(t, [] {});
-      ASSERT_EQ(a, b);
-      ASSERT_EQ(a, c);
-      if (a) {
-        e.seq = next_seq++;
-        saw_calendar_move = saw_calendar_move || in_calendar;
-        ASSERT_DOUBLE_EQ(e.heap.time(), t);
-        ASSERT_DOUBLE_EQ(e.calendar.time(), t);
+      const bool pending = e.key.has_value();
+      ASSERT_EQ(moving_queue.reschedule(e.moving, t), pending);
+      ASSERT_EQ(e.reference.cancel(), pending);
+      if (pending) {
+        e.reference = reference_queue.push(t, [] {});
+        model.erase(*e.key);
+        e.key = Key{t, next_seq++};
+        model.emplace(*e.key, pick);
+        ASSERT_EQ(e.moving.time(), t);
       }
     } else {
-      const auto a = heap_queue.pop();
-      const auto b = calendar_queue.pop();
-      const auto c = reference_queue.pop();
-      ASSERT_EQ(a.has_value(), b.has_value());
-      ASSERT_EQ(a.has_value(), c.has_value());
+      const auto a = moving_queue.pop();
+      const auto b = reference_queue.pop();
+      ASSERT_EQ(a.has_value(), !model.empty());
+      ASSERT_EQ(b.has_value(), !model.empty());
       if (a) {
-        ASSERT_DOUBLE_EQ(a->time, b->time);
-        ASSERT_EQ(a->seq, b->seq);
-        ASSERT_DOUBLE_EQ(a->time, c->time);
-        ASSERT_EQ(a->seq, c->seq);
+        const auto [key, index] = *model.begin();
+        ASSERT_EQ(a->time, key.first);
+        ASSERT_EQ(a->seq, key.second);
+        ASSERT_EQ(b->time, key.first);
+        ASSERT_EQ(b->seq, key.second);
+        events[index].key.reset();
+        model.erase(model.begin());
       }
     }
-    ASSERT_EQ(heap_queue.size(), calendar_queue.size());
-    ASSERT_EQ(heap_queue.size(), reference_queue.size());
-    ASSERT_DOUBLE_EQ(heap_queue.next_time(), calendar_queue.next_time());
-    ASSERT_DOUBLE_EQ(heap_queue.next_time(), reference_queue.next_time());
-    saw_calendar = saw_calendar || calendar_queue.calendar_active();
+    const SimTime model_min =
+        model.empty() ? kTimeNever : model.begin()->first.first;
+    ASSERT_EQ(moving_queue.size(), model.size());
+    ASSERT_EQ(reference_queue.size(), model.size());
+    ASSERT_EQ(moving_queue.next_time(), model_min);
+    ASSERT_EQ(reference_queue.next_time(), model_min);
+    peak_live = std::max(peak_live, model.size());
   }
-  EXPECT_TRUE(saw_calendar)
-      << "sequence never grew past kCalendarEnter; widen the push count";
-  EXPECT_TRUE(saw_calendar_move) << "no move ran in calendar mode";
-  EXPECT_FALSE(calendar_queue.calendar_active())
-      << "draining to empty must fall back to the heap";
+  EXPECT_FALSE(moving_queue.pop().has_value());
+  EXPECT_FALSE(reference_queue.pop().has_value());
+  EXPECT_GE(peak_live, input.min_peak_live)
+      << "the queue never got that deep; raise the push count";
 }
 
-TEST(CalendarQueuePropertyTest, UniformTimesMatchHeapOrder) {
-  expect_identical_pop_streams(/*seed=*/1, /*pushes=*/4000, 0.0, 1000.0,
-                               /*outlier_probability=*/0.0);
+TEST(EventQueuePropertyTest, UniformTimesMatchNaiveModel) {
+  expect_pops_match_model({.seed = 1, .pushes = 4000, .lo = 0.0,
+                           .hi = 1000.0});
 }
 
-TEST(CalendarQueuePropertyTest, ClusteredTimesWithOutliersMatchHeapOrder) {
-  // Tight cluster + rare million-fold outliers: the insert path detects
-  // overlong buckets and rebuilds with a fresh width (the adaptation
-  // cooldown path), which must not perturb pop order.
-  expect_identical_pop_streams(/*seed=*/2, /*pushes=*/3000, 0.0, 1.0,
-                               /*outlier_probability=*/0.01);
+TEST(EventQueuePropertyTest, ClusteredTimesWithOutliersMatchNaiveModel) {
+  // A tight cluster with rare million-fold outliers far behind it.
+  expect_pops_match_model({.seed = 2, .pushes = 3000, .lo = 0.0, .hi = 1.0,
+                           .outlier_probability = 0.01});
 }
 
-TEST(CalendarQueuePropertyTest, TiedTimesPreserveFifoAcrossModes) {
-  EventQueue heap_queue;
-  heap_queue.force_heap_mode();
-  EventQueue calendar_queue;
-  // All-identical timestamps: bucket sorting degenerates to the sequence
-  // tiebreak, and the (time, seq) FIFO contract must survive the
-  // heap->calendar migration mid-stream.
-  for (int i = 0; i < 2000; ++i) {
-    heap_queue.push(42.0, [] {});
-    calendar_queue.push(42.0, [] {});
-  }
-  EXPECT_TRUE(calendar_queue.calendar_active());
-  EventSequence prev = 0;
-  bool first = true;
-  while (auto a = heap_queue.pop()) {
-    const auto b = calendar_queue.pop();
-    ASSERT_TRUE(b.has_value());
-    ASSERT_EQ(a->seq, b->seq);
-    if (!first) {
-      ASSERT_GT(a->seq, prev) << "FIFO within equal times";
-    }
-    prev = a->seq;
-    first = false;
-  }
-  EXPECT_FALSE(calendar_queue.pop().has_value());
+TEST(EventQueuePropertyTest, IdenticalTimesPopInSequenceOrder) {
+  // Every push and move lands on t=42, so the model's minimum is the
+  // least sequence number: the queue must pop in scheduling order, a
+  // moved event behind every event already at that time.
+  expect_pops_match_model({.seed = 3, .pushes = 2000, .lo = 42.0,
+                           .hi = 42.0});
 }
 
-TEST(CalendarQueuePropertyTest, MovingTheCachedMinimumMatchesCancelPlusPush) {
-  EventQueue calendar_queue;
-  EventQueue reference_queue;
-  reference_queue.force_heap_mode();
-  std::vector<EventHandle> moving;
-  std::vector<EventHandle> reference;
-  for (int i = 0; i < 1000; ++i) {
-    const double t = 1.0 + i;
-    moving.push_back(calendar_queue.push(t, [] {}));
-    reference.push_back(reference_queue.push(t, [] {}));
-  }
-  ASSERT_TRUE(calendar_queue.calendar_active());
-  // next_time() caches the minimum (t=1); moving it must drop the cache,
-  // both past the rest and onto another event's time (a tie it loses).
-  for (const double target : {2000.0, 5.0}) {
-    ASSERT_DOUBLE_EQ(calendar_queue.next_time(), reference_queue.next_time());
-    const std::size_t head =
-        static_cast<std::size_t>(calendar_queue.next_time() - 1.0);
-    ASSERT_TRUE(calendar_queue.reschedule(moving[head], target));
-    ASSERT_TRUE(reference[head].cancel());
-    reference[head] = reference_queue.push(target, [] {});
-  }
-  while (auto a = reference_queue.pop()) {
-    const auto b = calendar_queue.pop();
-    ASSERT_TRUE(b.has_value());
-    ASSERT_DOUBLE_EQ(a->time, b->time);
-    ASSERT_EQ(a->seq, b->seq);
-  }
-  EXPECT_FALSE(calendar_queue.pop().has_value());
+TEST(EventQueuePropertyTest, DeepQueueMatchesNaiveModel) {
+  // Mostly pushes: the heap grows past 20,000 live events (the
+  // 102,400-node kernel-scaling runs reach 74,011) before it drains, so
+  // moves of the minimum sift down a deep heap.
+  expect_pops_match_model({.seed = 4, .pushes = 30000, .lo = 0.0,
+                           .hi = 1000.0, .push_share = 0.8,
+                           .min_peak_live = 20000});
 }
 
 }  // namespace

@@ -332,11 +332,10 @@ std::vector<SimTime> grid_times(Rng& rng, std::size_t n, SimTime offset) {
 /// event at t=250 whose times reach kTimeEpsilon into the past. Returns
 /// the dispatch log; `events` receives the dispatched count.
 std::vector<Dispatch> run_batch_script(std::uint64_t seed, bool batched,
-                                       bool pin_heap, std::size_t fillers,
+                                       std::size_t fillers,
                                        std::uint64_t& events) {
   Rng rng(seed);
   Simulator simk;
-  if (pin_heap) simk.pin_heap_event_queue();
   std::vector<Dispatch> log;
   for (std::size_t k = 0; k < fillers; ++k) {
     const long tag = 1'000'000 + static_cast<long>(k);
@@ -364,21 +363,18 @@ std::vector<Dispatch> run_batch_script(std::uint64_t seed, bool batched,
 }
 
 TEST(SimulatorTest, BatchFiresLikeOneScheduleAtPerElement) {
-  for (const bool pin_heap : {true, false}) {
-    // More fillers than kCalendarEnter keep the unpinned queue in
-    // calendar mode for most of the run.
-    const std::size_t fillers =
-        pin_heap ? 40 : EventQueue::kCalendarEnter + 300;
+  // 812 fillers keep the heap hundreds of events deep for most of the run.
+  for (const std::size_t fillers : {std::size_t{40}, std::size_t{812}}) {
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
       std::uint64_t batch_events = 0;
       std::uint64_t reference_events = 0;
       const std::vector<Dispatch> batched =
-          run_batch_script(seed, true, pin_heap, fillers, batch_events);
+          run_batch_script(seed, true, fillers, batch_events);
       const std::vector<Dispatch> reference =
-          run_batch_script(seed, false, pin_heap, fillers, reference_events);
+          run_batch_script(seed, false, fillers, reference_events);
       ASSERT_EQ(batched.size(), 200 + 150 + 60 + 1 + (67 + 50 + 20) + fillers);
       EXPECT_EQ(batched, reference)
-          << "seed " << seed << (pin_heap ? " (heap)" : " (calendar)");
+          << "seed " << seed << ", " << fillers << " fillers";
       EXPECT_EQ(batch_events, reference_events);
     }
   }
