@@ -10,8 +10,10 @@
 // disabled overhead stays under 2 % and writes
 // <out>/BENCH_obs_overhead.json so the trend is machine-readable.
 //
-// Honours REPRO_OBS_EVENTS (events per repetition, default 2000000) and
-// REPRO_OBS_REPS (repetitions per configuration, default 7).
+// Honours REPRO_OBS_EVENTS (events per repetition, default 2000000; at
+// least one per event chain, 64) and REPRO_OBS_REPS (repetitions per
+// configuration, default 7; at least 1). It refuses smaller values
+// instead of passing on a measurement it never made.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 
@@ -35,6 +38,8 @@ double now_seconds() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+constexpr std::size_t kChains = 64;
 
 // One self-rescheduling event chain: every dispatch schedules the next
 // event, so the kernel sees a steady schedule/dispatch churn at a queue
@@ -52,7 +57,6 @@ struct Chain {
 };
 
 double run_kernel(obs::MetricsRegistry* registry, std::uint64_t events) {
-  constexpr std::size_t kChains = 64;
   sim::Simulator simk;
   simk.set_metrics(registry);
   std::vector<std::unique_ptr<Chain>> chains;
@@ -84,7 +88,16 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 int main() {
   const bench::BenchEnv env = bench::read_env();
   const std::uint64_t events = env_u64("REPRO_OBS_EVENTS", 2000000);
-  const int reps = static_cast<int>(env_u64("REPRO_OBS_REPS", 7));
+  const std::uint64_t reps = env_u64("REPRO_OBS_REPS", 7);
+  if (reps < 1) {
+    std::cerr << "FAIL: REPRO_OBS_REPS must be at least 1\n";
+    return 1;
+  }
+  if (events < kChains) {
+    std::cerr << "FAIL: REPRO_OBS_EVENTS must be at least " << kChains
+              << ", one event per chain\n";
+    return 1;
+  }
 
   std::cout << "obs overhead bench: " << events << " events/rep, " << reps
             << " reps per configuration\n";
@@ -99,7 +112,7 @@ int main() {
   double min_disabled = std::numeric_limits<double>::infinity();
   double min_enabled = std::numeric_limits<double>::infinity();
   run_kernel(nullptr, events);  // warm-up, unmeasured
-  for (int rep = 0; rep < reps; ++rep) {
+  for (std::uint64_t rep = 0; rep < reps; ++rep) {
     min_none = std::min(min_none, run_kernel(nullptr, events));
     min_disabled = std::min(min_disabled, run_kernel(&disabled, events));
     min_enabled = std::min(min_enabled, run_kernel(&enabled, events));
@@ -115,22 +128,21 @@ int main() {
             << "  attached, enabled:  " << min_enabled << " s  ("
             << enabled_overhead * 100.0 << " % overhead)\n";
 
+  obs::json::Value root;
+  root.set("bench", "obs_overhead");
+  root.set("events_per_rep", events);
+  root.set("reps", reps);
+  root.set("no_registry_seconds", min_none);
+  root.set("disabled_registry_seconds", min_disabled);
+  root.set("enabled_registry_seconds", min_enabled);
+  root.set("disabled_overhead_fraction", disabled_overhead);
+  root.set("enabled_overhead_fraction", enabled_overhead);
+  root.set("events_per_second_baseline", events_per_second);
+  root.set("threshold_fraction", 0.02);
+  root.set("pass", disabled_overhead < 0.02);
   const std::string path = env.out_dir + "/BENCH_obs_overhead.json";
   std::ofstream json(path);
-  json.precision(6);
-  json << "{\n"
-       << "  \"bench\": \"obs_overhead\",\n"
-       << "  \"events_per_rep\": " << events << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"no_registry_seconds\": " << min_none << ",\n"
-       << "  \"disabled_registry_seconds\": " << min_disabled << ",\n"
-       << "  \"enabled_registry_seconds\": " << min_enabled << ",\n"
-       << "  \"disabled_overhead_fraction\": " << disabled_overhead << ",\n"
-       << "  \"enabled_overhead_fraction\": " << enabled_overhead << ",\n"
-       << "  \"events_per_second_baseline\": " << events_per_second << ",\n"
-       << "  \"threshold_fraction\": 0.02,\n"
-       << "  \"pass\": " << (disabled_overhead < 0.02 ? "true" : "false")
-       << "\n}\n";
+  root.dump(json);
   std::cout << "[wrote " << path << "]\n";
 
   if (disabled_overhead >= 0.02) {

@@ -124,16 +124,14 @@ std::vector<RankedPolicy> AdvisorEngine::rank(
     entry.policy = policy::to_string(candidates_[c]);
     entry.performance = integrated.performance;
     entry.volatility = integrated.volatility;
-    entry.score = integrated.performance - risk_aversion * integrated.volatility;
+    entry.score = core::risk_adjusted_score(
+        integrated.performance, integrated.volatility, risk_aversion);
     ranked.push_back(std::move(entry));
   }
   std::sort(ranked.begin(), ranked.end(),
             [](const RankedPolicy& a, const RankedPolicy& b) {
-              if (a.score != b.score) return a.score > b.score;
-              if (a.volatility != b.volatility) {
-                return a.volatility < b.volatility;
-              }
-              return a.policy < b.policy;
+              return core::ranks_ahead({a.score, a.volatility, a.policy},
+                                       {b.score, b.volatility, b.policy});
             });
   return ranked;
 }

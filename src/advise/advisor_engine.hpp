@@ -196,8 +196,7 @@ class AdvisorEngine {
   [[nodiscard]] std::vector<std::array<double, 4>> shadow_evaluate(
       const KeyState& state) const;
   /// Ranks candidates from per-candidate risk points under the given
-  /// preferences (score desc, volatility asc, name asc — the offline
-  /// advisor's deterministic order).
+  /// preferences, in the offline advisor's order (core::ranks_ahead).
   [[nodiscard]] std::vector<RankedPolicy> rank(
       const std::vector<std::array<core::RiskPoint, 4>>& points,
       const std::array<double, 4>& weights, double risk_aversion) const;

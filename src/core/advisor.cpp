@@ -149,18 +149,15 @@ AdvisorReport advise(const AdvisorInput& input, const AdvisorConfig& config) {
     const double n = static_cast<double>(series.points.size());
     advice.mean_performance = perf / n;
     advice.mean_volatility = vol / n;
-    advice.score =
-        advice.mean_performance - config.risk_aversion * advice.mean_volatility;
+    advice.score = risk_adjusted_score(
+        advice.mean_performance, advice.mean_volatility, config.risk_aversion);
     advice.stats = compute_rank_stats(series);
     report.ranked.push_back(std::move(advice));
   }
   std::sort(report.ranked.begin(), report.ranked.end(),
             [](const PolicyAdvice& a, const PolicyAdvice& b) {
-              if (a.score != b.score) return a.score > b.score;
-              if (a.mean_volatility != b.mean_volatility) {
-                return a.mean_volatility < b.mean_volatility;
-              }
-              return a.policy < b.policy;
+              return ranks_ahead({a.score, a.mean_volatility, a.policy},
+                                 {b.score, b.mean_volatility, b.policy});
             });
 
   // Per-objective winners via the paper's best-performance ranking.

@@ -56,6 +56,30 @@ struct AdvisorConfig {
       std::string_view csv);
 };
 
+/// The risk-adjusted score every advisor ranks by: performance less
+/// `risk_aversion` units of volatility (mean - lambda * sigma).
+[[nodiscard]] inline double risk_adjusted_score(double performance,
+                                                double volatility,
+                                                double risk_aversion) {
+  return performance - risk_aversion * volatility;
+}
+
+/// What a ranking orders one policy by.
+struct RankKey {
+  double score = 0.0;
+  double volatility = 0.0;
+  std::string_view policy;
+};
+
+/// The ranking order, best first: score descending, then volatility
+/// ascending, then policy name ascending — a strict total order over
+/// distinct names, so every ranking is deterministic.
+[[nodiscard]] inline bool ranks_ahead(const RankKey& a, const RankKey& b) {
+  if (a.score != b.score) return a.score > b.score;
+  if (a.volatility != b.volatility) return a.volatility < b.volatility;
+  return a.policy < b.policy;
+}
+
 /// Scored policy under the configured preferences.
 struct PolicyAdvice {
   std::string policy;
@@ -69,7 +93,7 @@ struct PolicyAdvice {
 };
 
 struct AdvisorReport {
-  /// Best first by risk-adjusted score.
+  /// Best first, in ranks_ahead order.
   std::vector<PolicyAdvice> ranked;
   /// Winner of each single objective (by the paper's best-performance
   /// ranking applied per objective).

@@ -13,7 +13,7 @@
 //    admission queue into observable `busy` backpressure.
 //
 // The report carries throughput and p50/p95/p99 wall-latency percentiles;
-// bench_serving serialises it into BENCH_serving.json.
+// `utilrisk loadgen` prints it.
 #pragma once
 
 #include <cstdint>

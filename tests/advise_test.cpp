@@ -1,16 +1,20 @@
 // Tests for the online risk advisor (src/advise): streaming Welford
-// estimators against a batch reference, exact window eviction, and the
-// determinism of the advisor engine's evaluations and read-only queries.
+// estimators against a batch reference, exact window eviction, the
+// determinism of the advisor engine's evaluations and read-only queries,
+// and its verdict on a mix shift under profit-focused weights.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "advise/advisor_engine.hpp"
 #include "advise/estimator.hpp"
 #include "core/objectives.hpp"
+#include "serve/loadgen.hpp"
 #include "workload/generator.hpp"
 #include "workload/qos.hpp"
 
@@ -146,11 +150,12 @@ struct ObservedStream {
   std::vector<core::ObjectiveValues> live;
 };
 
-ObservedStream make_observed_stream(std::size_t count, std::uint64_t seed) {
+/// Pairs `jobs` with a synthetic cumulative objective feed: every job
+/// accepted and fulfilled, waiting a quarter of its runtime and earning
+/// 80% of its budget.
+ObservedStream observe_jobs(std::vector<workload::Job> jobs) {
   ObservedStream stream;
-  stream.jobs = workload::generate_jobs(
-      "sdsc:jobs=" + std::to_string(count) + ",seed=" + std::to_string(seed));
-  workload::assign_qos(stream.jobs, workload::QosConfig{});
+  stream.jobs = std::move(jobs);
   core::ObjectiveInputs inputs;
   for (const workload::Job& job : stream.jobs) {
     inputs.submitted += 1;
@@ -162,6 +167,13 @@ ObservedStream make_observed_stream(std::size_t count, std::uint64_t seed) {
     stream.live.push_back(core::compute_objectives(inputs));
   }
   return stream;
+}
+
+ObservedStream make_observed_stream(std::size_t count, std::uint64_t seed) {
+  std::vector<workload::Job> jobs = workload::generate_jobs(
+      "sdsc:jobs=" + std::to_string(count) + ",seed=" + std::to_string(seed));
+  workload::assign_qos(jobs, workload::QosConfig{});
+  return observe_jobs(std::move(jobs));
 }
 
 OnlineAdvisorConfig small_config() {
@@ -276,6 +288,54 @@ TEST(AdvisorEngineTest, QueryValidatesCallerPreferences) {
   EXPECT_THROW((void)engine.query(1, negative, 0.5), std::invalid_argument);
   const std::array<double, 4> ok = {0.25, 0.25, 0.25, 0.25};
   EXPECT_THROW((void)engine.query(1, ok, -1.0), std::invalid_argument);
+}
+
+TEST(AdvisorEngineTest, RecommendationBeatsStaticDefaultUnderProfitWeights) {
+  // bench_serving's advise mix: 4 Zipf tenants on a heavy-runtime, dense
+  // profile that shifts at t=40000, scored for an operator who weights
+  // profitability. The static default, Libra, is the best all-rounder
+  // under equal weights; here the advisor must rank another policy
+  // strictly above it, or running the advisor buys nothing.
+  serve::LoadgenConfig mix;
+  mix.requests = 5000;
+  mix.seed = 42;
+  mix.workload =
+      "zipf:tenants=4,theta=0.6,mean_runtime=14000,mean_interarrival=120";
+  mix.mix_shift = "40000:zipf:tenants=4,theta=0.6";
+  std::vector<workload::Job> jobs;
+  for (const serve::Request& request : serve::make_request_stream(mix)) {
+    const auto job_id = static_cast<workload::JobId>(jobs.size() + 1);
+    jobs.push_back(serve::to_job(request, job_id, request.submit_time));
+  }
+  const ObservedStream stream = observe_jobs(std::move(jobs));
+
+  const std::array<double, 4> weights = {0.05, 0.15, 0.1, 0.7};
+  constexpr double kRiskAversion = 0.5;
+  OnlineAdvisorConfig config;
+  config.advise_every = 1024;
+  config.window = 16;
+  config.scoring.objective_weights = weights;
+  config.scoring.risk_aversion = kRiskAversion;
+  AdvisorEngine advisor(config, ShadowContext{}, policy::PolicyKind::Libra);
+  for (std::size_t i = 0; i < stream.jobs.size(); ++i) {
+    advisor.observe(1, stream.jobs[i], stream.live[i]);
+    if (advisor.at_switch_point(1)) (void)advisor.evaluate(1);
+  }
+  ASSERT_EQ(advisor.active_policy(1), policy::PolicyKind::Libra)
+      << "auto_switch is off: the verdict is read, not acted on";
+
+  const Snapshot verdict = advisor.query(1, weights, kRiskAversion);
+  const std::string static_policy{policy::to_string(policy::PolicyKind::Libra)};
+  const auto score_of = [&verdict](const std::string& name) {
+    const auto entry = std::find_if(
+        verdict.ranked.begin(), verdict.ranked.end(),
+        [&name](const RankedPolicy& ranked) { return ranked.policy == name; });
+    EXPECT_NE(entry, verdict.ranked.end()) << name << " is not ranked";
+    return entry == verdict.ranked.end() ? 0.0 : entry->score;
+  };
+  EXPECT_NE(verdict.recommended, static_policy);
+  EXPECT_GT(score_of(verdict.recommended), score_of(static_policy))
+      << "recommended " << verdict.recommended;
 }
 
 TEST(OnlineAdvisorConfigTest, ValidateRejectsBadKnobs) {

@@ -56,6 +56,29 @@ TEST(AdvisorTest, ScoreIsMeanMinusLambdaSigma) {
   }
 }
 
+TEST(AdvisorTest, RankTiesBreakOnVolatilityThenName) {
+  // calm and busy tie on score; able ties calm on score and volatility.
+  const RankKey calm{0.5, 0.125, "calm"};
+  const RankKey busy{0.5, 0.25, "busy"};
+  const RankKey able{0.5, 0.125, "able"};
+  const RankKey risky_best{0.75, 1.0, "zeta"};
+  EXPECT_TRUE(ranks_ahead(calm, busy)) << "equal score: lower volatility";
+  EXPECT_FALSE(ranks_ahead(busy, calm));
+  EXPECT_TRUE(ranks_ahead(able, calm)) << "equal score and volatility: name";
+  EXPECT_FALSE(ranks_ahead(calm, able));
+  EXPECT_FALSE(ranks_ahead(calm, calm)) << "the order is strict";
+  EXPECT_TRUE(ranks_ahead(risky_best, able)) << "score comes first";
+  EXPECT_EQ(risk_adjusted_score(0.75, 0.5, 0.5), 0.5);
+
+  // Two identical policies tie on both, so advise() orders them by name.
+  AdvisorInput twins = two_policy_input();
+  twins.policies = {"twin-b", "twin-a"};
+  twins.points.back() = twins.points.front();
+  const AdvisorReport report = advise(twins, AdvisorConfig{});
+  EXPECT_EQ(report.ranked.front().policy, "twin-a");
+  EXPECT_EQ(report.ranked.back().policy, "twin-b");
+}
+
 TEST(AdvisorTest, ObjectiveWeightsSelectTheRelevantObjective) {
   AdvisorInput input;
   input.policies = {"wait-hero", "profit-hero"};

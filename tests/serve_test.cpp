@@ -368,7 +368,14 @@ TEST(SocketServerTest, ClosedLoopRunMatchesServerDigest) {
       << "client and server must agree on every decision";
 }
 
-TEST(SocketServerTest, OverloadSeesBusyBackpressureAndStillNoDrops) {
+struct OverloadRun {
+  LoadgenReport report;
+  EngineStats stats;
+};
+
+/// 50 open-loop requests against an engine with a 4-slot queue that is
+/// paused for the first 300 ms, so the queue observably fills.
+OverloadRun run_paused_overload(double deadline_ms) {
   EngineConfig engine_config;
   engine_config.queue_capacity = 4;  // tiny queue: overload is certain
   AdmissionEngine engine(engine_config);
@@ -390,18 +397,32 @@ TEST(SocketServerTest, OverloadSeesBusyBackpressureAndStillNoDrops) {
   load.requests = 50;
   load.open_loop = true;
   load.rate = 5000.0;  // all 50 go out while the engine is paused
-  const LoadgenReport report = run_loadgen(load);
+  load.deadline_ms = deadline_ms;
+  OverloadRun run;
+  run.report = run_loadgen(load);
   resumer.join();
+  run.stats = server.stop_and_drain();
+  return run;
+}
 
+TEST(SocketServerTest, OverloadSeesBusyBackpressureAndStillNoDrops) {
+  const auto [report, stats] = run_paused_overload(0.0);
   EXPECT_EQ(report.sent, 50u);
   EXPECT_EQ(report.responses, 50u);
   EXPECT_EQ(report.dropped, 0u)
       << "backpressure answers busy, it never drops";
   EXPECT_GT(report.busy, 0u) << "the bounded queue must push back";
   EXPECT_LT(report.accepted + report.rejected, 50u);
-
-  const EngineStats stats = server.stop_and_drain();
   EXPECT_LE(stats.processed, 4u + report.accepted + report.rejected);
+}
+
+TEST(SocketServerTest, OverloadWithDeadlinesShedsAndStillAnswersEveryRequest) {
+  // A 10 ms decision budget: the requests that outwait it in the paused
+  // engine's queue come back `shed`, and every request is still answered.
+  const LoadgenReport report = run_paused_overload(10.0).report;
+  EXPECT_EQ(report.responses, report.sent);
+  EXPECT_EQ(report.dropped, 0u);
+  EXPECT_GT(report.shed, 0u) << "queued past their budget, never decided";
 }
 
 // -------------------------------------------------- protocol hostile corpus
