@@ -1,8 +1,8 @@
-// Workload-generator bench: generation throughput of every registered
+// Workload-generator bench: generation throughput of every workload
 // method plus the headline-conclusion check on the three extension
 // traces (zipf multi-tenant, flash-crowd, Daly checkpoint-restart).
 //
-// Part one times `generate_jobs(spec)` for each builtin method at
+// Part one times `generate_jobs(spec, jobs, seed)` for each method at
 // REPRO_JOBS jobs and prints jobs/s with shape statistics (mean
 // inter-arrival, mean runtime, mean procs, distinct tenants) so a
 // regression in either speed or distribution shape is visible in one
@@ -41,12 +41,10 @@ int main() {
             << std::setw(12) << "runtime" << std::setw(8) << "procs"
             << std::setw(10) << "tenants\n";
   for (const std::string& text : specs) {
-    workload::GeneratorSpec spec = workload::GeneratorSpec::parse(text);
-    spec.set_default("jobs", std::to_string(jobs_n));
-    spec.set_default("seed", "42");
-
+    const workload::GeneratorSpec spec = workload::GeneratorSpec::parse(text);
     const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<workload::Job> jobs = workload::generate_jobs(spec);
+    const std::vector<workload::Job> jobs =
+        workload::generate_jobs(spec, jobs_n, 42);
     const auto t1 = std::chrono::steady_clock::now();
     const double seconds = std::chrono::duration<double>(t1 - t0).count();
 
@@ -74,10 +72,8 @@ int main() {
   for (const std::string& text :
        {std::string("zipf:theta=0.9"), std::string("flash:base=sdsc,peak=8"),
         std::string("daly:interval=3600")}) {
-    workload::GeneratorSpec spec = workload::GeneratorSpec::parse(text);
-    spec.set_default("jobs", std::to_string(sim_n));
-    spec.set_default("seed", "42");
-    const std::vector<workload::Job> trace = workload::generate_jobs(spec);
+    const std::vector<workload::Job> trace = workload::generate_jobs(
+        workload::GeneratorSpec::parse(text), sim_n, 42);
     const std::vector<workload::Job> jobs =
         workload::WorkloadBuilder(trace).build(workload::QosConfig{}, 0.25,
                                                100.0);

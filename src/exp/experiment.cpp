@@ -31,24 +31,10 @@ RunSettings ExperimentConfig::default_settings() const {
   return settings;
 }
 
-namespace {
-
-/// Parses a workload spec and injects the experiment's job count and
-/// trace seed as defaults (seed convention, workload/generator.hpp).
-workload::GeneratorSpec spec_with_defaults(
-    const std::string& text, const workload::SyntheticSdscConfig& trace) {
-  workload::GeneratorSpec spec = workload::GeneratorSpec::parse(text);
-  spec.set_default("jobs", std::to_string(trace.job_count));
-  spec.set_default("seed", std::to_string(trace.seed));
-  return spec;
-}
-
-}  // namespace
-
 workload::WorkloadBuilder ExperimentConfig::make_builder() const {
   if (workload.empty()) return workload::WorkloadBuilder(trace);
-  return workload::WorkloadBuilder(
-      workload::generate_jobs(spec_with_defaults(workload, trace)));
+  return workload::WorkloadBuilder(workload::generate_jobs(
+      workload::GeneratorSpec::parse(workload), trace.job_count, trace.seed));
 }
 
 // Cache-key audit note (kept current; last reviewed for `serve --shards`):
@@ -158,7 +144,8 @@ service::SimulationReport simulate_run_report(
   std::optional<workload::WorkloadBuilder> per_run;
   if (!settings.workload.empty()) {
     per_run.emplace(workload::generate_jobs(
-        spec_with_defaults(settings.workload, config.trace)));
+        workload::GeneratorSpec::parse(settings.workload),
+        config.trace.job_count, config.trace.seed));
   }
   const workload::WorkloadBuilder& active = per_run ? *per_run : builder;
 

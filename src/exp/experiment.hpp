@@ -60,10 +60,10 @@ struct ExperimentConfig {
   [[nodiscard]] RunSettings default_settings() const;
 
   /// The base-trace builder this config describes: the `workload` spec
-  /// when set, else the synthetic SDSC config (routed through the
-  /// generator registry either way). Every consumer of the base trace —
-  /// serial runner, parallel workers, golden-replay harness — goes
-  /// through here so they cannot drift.
+  /// when set, else the synthetic SDSC config (the same
+  /// generate_synthetic_sdsc the `sdsc` method calls). Every consumer of
+  /// the base trace — serial runner, parallel workers, golden-replay
+  /// harness — goes through here so they cannot drift.
   [[nodiscard]] workload::WorkloadBuilder make_builder() const;
 
   /// Canonical cache key of one run under this config.

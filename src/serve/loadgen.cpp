@@ -189,12 +189,10 @@ void tally(LoadgenReport& report, verify::UnorderedDigest& digest,
   }
 }
 
-/// Builds the outer `mixshift` registry spec for `--mix-shift T:SPEC`:
-/// the configured --workload (or the default SDSC trace, full fidelity)
-/// becomes phase a, SPEC becomes phase b, T the switch time.
-workload::GeneratorSpec mix_shift_spec(
-    const LoadgenConfig& config,
-    const workload::SyntheticSdscConfig& trace) {
+/// Builds the outer `mixshift` spec for `--mix-shift T:SPEC`: the
+/// configured --workload (or the default SDSC trace, `sdsc`) becomes
+/// phase a, SPEC becomes phase b, T the switch time.
+workload::GeneratorSpec mix_shift_spec(const LoadgenConfig& config) {
   const auto colon = config.mix_shift.find(':');
   if (colon == std::string::npos || colon == 0 ||
       colon + 1 >= config.mix_shift.size()) {
@@ -202,10 +200,8 @@ workload::GeneratorSpec mix_shift_spec(
         "--mix-shift expects T:SPEC (e.g. 21600:zipf:theta=0.5), got '" +
         config.mix_shift + "'");
   }
-  const workload::GeneratorSpec phase_a =
-      workload::GeneratorSpec::parse(config.workload.empty()
-                                         ? workload::spec_for(trace)
-                                         : config.workload);
+  const workload::GeneratorSpec phase_a = workload::GeneratorSpec::parse(
+      config.workload.empty() ? "sdsc" : config.workload);
   const workload::GeneratorSpec phase_b =
       workload::GeneratorSpec::parse(config.mix_shift.substr(colon + 1));
   workload::GeneratorSpec outer;
@@ -243,13 +239,11 @@ std::vector<Request> make_request_stream(const LoadgenConfig& config) {
     if (config.mix_shift.empty() && config.workload.empty()) {
       return workload::WorkloadBuilder(trace);
     }
-    workload::GeneratorSpec spec =
+    return workload::WorkloadBuilder(workload::generate_jobs(
         config.mix_shift.empty()
             ? workload::GeneratorSpec::parse(config.workload)
-            : mix_shift_spec(config, trace);
-    spec.set_default("jobs", std::to_string(trace.job_count));
-    spec.set_default("seed", std::to_string(trace.seed));
-    return workload::WorkloadBuilder(workload::generate_jobs(spec));
+            : mix_shift_spec(config),
+        trace.job_count, trace.seed));
   }();
   workload::QosConfig qos;
   qos.high_urgency_percent = config.high_urgency_percent;

@@ -41,7 +41,7 @@ struct LoadgenConfig {
   /// request stream switches from the configured `workload` (or the
   /// default SDSC trace) to the workload spec SPEC — e.g.
   /// "21600:zipf:theta=0.5". Implemented by wrapping both into the
-  /// registry's `mixshift` method, so it composes with flash/zipf specs
+  /// `mixshift` workload method, so it composes with flash/zipf specs
   /// on either side. Empty = no shift.
   std::string mix_shift;
   /// Open loop when true (see header comment); closed loop otherwise.

@@ -1,6 +1,7 @@
 #include "workload/generator.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <system_error>
@@ -26,8 +27,10 @@ double parse_double(const std::string& key, const std::string& value) {
   char* end = nullptr;
   errno = 0;
   const double parsed = std::strtod(begin, &end);
-  if (end != begin + value.size() || value.empty() || errno == ERANGE) {
-    bad_spec("parameter '" + key + "' is not a number: '" + value + "'");
+  if (end != begin + value.size() || value.empty() || errno == ERANGE ||
+      !std::isfinite(parsed)) {
+    bad_spec("parameter '" + key + "' is not a finite number: '" + value +
+             "'");
   }
   return parsed;
 }
@@ -41,6 +44,13 @@ std::uint64_t parse_u64(const std::string& key, const std::string& value) {
              "'");
   }
   return parsed;
+}
+
+/// True when `key` is "<prefix>.<something>".
+bool forwards_under(const std::string& key, const std::string& prefix) {
+  return key.size() > prefix.size() + 1 &&
+         key.compare(0, prefix.size(), prefix) == 0 &&
+         key[prefix.size()] == '.';
 }
 
 }  // namespace
@@ -127,22 +137,14 @@ std::string GeneratorSpec::get_string(const std::string& key,
   return value ? *value : fallback;
 }
 
-void GeneratorSpec::require_known(const std::vector<std::string>& known,
-                                  const std::string& allow_dotted_prefix)
-    const {
-  const std::string dotted =
-      allow_dotted_prefix.empty() ? "" : allow_dotted_prefix + ".";
+void GeneratorSpec::require_known(
+    const std::vector<std::string>& known,
+    const std::vector<std::string>& dotted_prefixes) const {
   for (const auto& [key, value] : params) {
     bool ok = false;
-    for (const auto& k : known) {
-      if (key == k) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok && !dotted.empty() && key.size() > dotted.size() &&
-        key.compare(0, dotted.size(), dotted) == 0) {
-      ok = true;
+    for (const auto& k : known) ok = ok || key == k;
+    for (const auto& prefix : dotted_prefixes) {
+      ok = ok || forwards_under(key, prefix);
     }
     if (!ok) {
       bad_spec("unknown parameter '" + key + "' for method '" + method + "'");
@@ -159,466 +161,294 @@ std::string format_double(double value) {
 
 namespace {
 
-/// Common base for methods that materialise the whole trace in load()
-/// and stream it out of get_next(). Bit-identity with the direct
-/// generator calls falls out for free.
-class MaterializedGenerator : public WorkloadGenerator {
- public:
-  std::optional<Job> get_next() override {
-    if (next_ >= jobs_.size()) return std::nullopt;
-    return jobs_[next_++];
-  }
-
- protected:
-  std::vector<Job> jobs_;
-  std::size_t next_ = 0;
-};
-
-class SdscGenerator final : public MaterializedGenerator {
- public:
-  const char* method() const override { return "sdsc"; }
-
-  void load(const GeneratorSpec& spec) override {
-    spec.require_known(
-        {"jobs", "max_procs", "mean_interarrival", "mean_runtime",
-         "runtime_cv", "max_runtime", "min_runtime", "power_of_two_bias",
-         "mean_procs_target", "overestimate_fraction", "over_factor_lo",
-         "over_factor_hi", "under_factor_lo", "under_factor_hi",
-         "queue_limit_mode_fraction", "diurnal_amplitude", "seed"});
-    SyntheticSdscConfig cfg;
-    cfg.job_count = spec.get_u32("jobs", cfg.job_count);
-    cfg.max_procs = spec.get_u32("max_procs", cfg.max_procs);
-    cfg.mean_interarrival =
-        spec.get_double("mean_interarrival", cfg.mean_interarrival);
-    cfg.mean_runtime = spec.get_double("mean_runtime", cfg.mean_runtime);
-    cfg.runtime_cv = spec.get_double("runtime_cv", cfg.runtime_cv);
-    cfg.max_runtime = spec.get_double("max_runtime", cfg.max_runtime);
-    cfg.min_runtime = spec.get_double("min_runtime", cfg.min_runtime);
-    cfg.power_of_two_bias =
-        spec.get_double("power_of_two_bias", cfg.power_of_two_bias);
-    cfg.mean_procs_target =
-        spec.get_double("mean_procs_target", cfg.mean_procs_target);
-    cfg.overestimate_fraction =
-        spec.get_double("overestimate_fraction", cfg.overestimate_fraction);
-    cfg.over_factor_lo = spec.get_double("over_factor_lo", cfg.over_factor_lo);
-    cfg.over_factor_hi = spec.get_double("over_factor_hi", cfg.over_factor_hi);
-    cfg.under_factor_lo =
-        spec.get_double("under_factor_lo", cfg.under_factor_lo);
-    cfg.under_factor_hi =
-        spec.get_double("under_factor_hi", cfg.under_factor_hi);
-    cfg.queue_limit_mode_fraction = spec.get_double(
-        "queue_limit_mode_fraction", cfg.queue_limit_mode_fraction);
-    cfg.diurnal_amplitude =
-        spec.get_double("diurnal_amplitude", cfg.diurnal_amplitude);
-    cfg.seed = spec.get_u64("seed", cfg.seed);
-    jobs_ = generate_synthetic_sdsc(cfg);
-    next_ = 0;
-  }
-};
-
-class LublinGenerator final : public MaterializedGenerator {
- public:
-  const char* method() const override { return "lublin"; }
-
-  void load(const GeneratorSpec& spec) override {
-    spec.require_known(
-        {"jobs", "max_procs", "serial_fraction", "power_of_two_fraction",
-         "mean_interarrival", "arrival_shape", "short_shape", "short_scale",
-         "long_shape", "long_scale", "p_short_serial", "p_short_wide",
-         "max_runtime", "min_runtime", "overestimate_fraction",
-         "over_factor_lo", "over_factor_hi", "under_factor_lo",
-         "under_factor_hi", "seed"});
-    SyntheticLublinConfig cfg;
-    cfg.job_count = spec.get_u32("jobs", cfg.job_count);
-    cfg.max_procs = spec.get_u32("max_procs", cfg.max_procs);
-    cfg.serial_fraction =
-        spec.get_double("serial_fraction", cfg.serial_fraction);
-    cfg.power_of_two_fraction =
-        spec.get_double("power_of_two_fraction", cfg.power_of_two_fraction);
-    cfg.mean_interarrival =
-        spec.get_double("mean_interarrival", cfg.mean_interarrival);
-    cfg.arrival_shape = spec.get_double("arrival_shape", cfg.arrival_shape);
-    cfg.short_shape = spec.get_double("short_shape", cfg.short_shape);
-    cfg.short_scale = spec.get_double("short_scale", cfg.short_scale);
-    cfg.long_shape = spec.get_double("long_shape", cfg.long_shape);
-    cfg.long_scale = spec.get_double("long_scale", cfg.long_scale);
-    cfg.p_short_serial = spec.get_double("p_short_serial", cfg.p_short_serial);
-    cfg.p_short_wide = spec.get_double("p_short_wide", cfg.p_short_wide);
-    cfg.max_runtime = spec.get_double("max_runtime", cfg.max_runtime);
-    cfg.min_runtime = spec.get_double("min_runtime", cfg.min_runtime);
-    cfg.overestimate_fraction =
-        spec.get_double("overestimate_fraction", cfg.overestimate_fraction);
-    cfg.over_factor_lo = spec.get_double("over_factor_lo", cfg.over_factor_lo);
-    cfg.over_factor_hi = spec.get_double("over_factor_hi", cfg.over_factor_hi);
-    cfg.under_factor_lo =
-        spec.get_double("under_factor_lo", cfg.under_factor_lo);
-    cfg.under_factor_hi =
-        spec.get_double("under_factor_hi", cfg.under_factor_hi);
-    cfg.seed = spec.get_u64("seed", cfg.seed);
-    jobs_ = generate_synthetic_lublin(cfg);
-    next_ = 0;
-  }
-};
-
-class SwfGenerator final : public MaterializedGenerator {
- public:
-  const char* method() const override { return "swf"; }
-
-  void load(const GeneratorSpec& spec) override {
-    // `seed` is accepted (the harness injects it uniformly) but a trace
-    // replay has no entropy to seed.
-    spec.require_known({"path", "jobs", "completed_only", "drop_degenerate",
-                        "rebase", "seed"});
-    const std::string path = spec.get_string("path", "");
-    if (path.empty()) bad_spec("method 'swf' requires path=<file.swf>");
-    SwfLoadOptions options;
-    options.completed_only = spec.get_u32("completed_only", 1) != 0;
-    options.drop_degenerate = spec.get_u32("drop_degenerate", 1) != 0;
-    options.keep_last = spec.get_u64("jobs", 0);
-    options.rebase_submit_times = spec.get_u32("rebase", 1) != 0;
-    jobs_ = load_swf(path, options).jobs;
-    next_ = 0;
-  }
-};
-
-class ZipfGenerator final : public MaterializedGenerator {
- public:
-  const char* method() const override { return "zipf"; }
-
-  void load(const GeneratorSpec& spec) override {
-    spec.require_known(
-        {"jobs", "tenants", "theta", "mean_interarrival", "max_procs",
-         "power_of_two_bias", "mean_runtime", "runtime_cv", "max_runtime",
-         "min_runtime", "overestimate_fraction", "over_factor_lo",
-         "over_factor_hi", "under_factor_lo", "under_factor_hi", "seed"});
-    ZipfianMultiTenantConfig cfg;
-    cfg.job_count = spec.get_u32("jobs", cfg.job_count);
-    cfg.tenant_count = spec.get_u64("tenants", cfg.tenant_count);
-    cfg.theta = spec.get_double("theta", cfg.theta);
-    cfg.mean_interarrival =
-        spec.get_double("mean_interarrival", cfg.mean_interarrival);
-    cfg.max_procs = spec.get_u32("max_procs", cfg.max_procs);
-    cfg.power_of_two_bias =
-        spec.get_double("power_of_two_bias", cfg.power_of_two_bias);
-    cfg.mean_runtime = spec.get_double("mean_runtime", cfg.mean_runtime);
-    cfg.runtime_cv = spec.get_double("runtime_cv", cfg.runtime_cv);
-    cfg.max_runtime = spec.get_double("max_runtime", cfg.max_runtime);
-    cfg.min_runtime = spec.get_double("min_runtime", cfg.min_runtime);
-    cfg.overestimate_fraction =
-        spec.get_double("overestimate_fraction", cfg.overestimate_fraction);
-    cfg.over_factor_lo = spec.get_double("over_factor_lo", cfg.over_factor_lo);
-    cfg.over_factor_hi = spec.get_double("over_factor_hi", cfg.over_factor_hi);
-    cfg.under_factor_lo =
-        spec.get_double("under_factor_lo", cfg.under_factor_lo);
-    cfg.under_factor_hi =
-        spec.get_double("under_factor_hi", cfg.under_factor_hi);
-    cfg.seed = spec.get_u64("seed", cfg.seed);
-    jobs_ = generate_zipfian_multi_tenant(cfg);
-    next_ = 0;
-  }
-};
-
-class DalyGenerator final : public MaterializedGenerator {
- public:
-  const char* method() const override { return "daly"; }
-
-  void load(const GeneratorSpec& spec) override {
-    spec.require_known({"jobs", "max_procs", "power_of_two_bias",
-                        "mean_interarrival", "mean_solve", "solve_cv",
-                        "min_solve", "max_solve", "checkpoint_write",
-                        "interval", "mtti", "pad_lo", "pad_hi", "seed"});
-    DalyCheckpointConfig cfg;
-    cfg.job_count = spec.get_u32("jobs", cfg.job_count);
-    cfg.max_procs = spec.get_u32("max_procs", cfg.max_procs);
-    cfg.power_of_two_bias =
-        spec.get_double("power_of_two_bias", cfg.power_of_two_bias);
-    cfg.mean_interarrival =
-        spec.get_double("mean_interarrival", cfg.mean_interarrival);
-    cfg.mean_solve = spec.get_double("mean_solve", cfg.mean_solve);
-    cfg.solve_cv = spec.get_double("solve_cv", cfg.solve_cv);
-    cfg.min_solve = spec.get_double("min_solve", cfg.min_solve);
-    cfg.max_solve = spec.get_double("max_solve", cfg.max_solve);
-    cfg.checkpoint_write_seconds =
-        spec.get_double("checkpoint_write", cfg.checkpoint_write_seconds);
-    cfg.checkpoint_interval =
-        spec.get_double("interval", cfg.checkpoint_interval);
-    cfg.mtti_seconds = spec.get_double("mtti", cfg.mtti_seconds);
-    cfg.estimate_pad_lo = spec.get_double("pad_lo", cfg.estimate_pad_lo);
-    cfg.estimate_pad_hi = spec.get_double("pad_hi", cfg.estimate_pad_hi);
-    cfg.seed = spec.get_u64("seed", cfg.seed);
-    jobs_ = generate_daly_checkpoint(cfg);
-    next_ = 0;
-  }
-};
-
-class FlashGenerator final : public MaterializedGenerator {
- public:
-  const char* method() const override { return "flash"; }
-
-  void load(const GeneratorSpec& spec) override {
-    spec.require_known({"base", "peak", "start", "duration", "period",
-                        "diurnal", "jobs", "seed"},
-                       /*allow_dotted_prefix=*/"base");
-    GeneratorSpec inner;
-    inner.method = spec.get_string("base", "sdsc");
-    for (const auto& [key, value] : spec.params) {
-      if (key.size() > 5 && key.compare(0, 5, "base.") == 0) {
-        inner.params.emplace_back(key.substr(5), value);
-      }
-    }
-    // Harness-level jobs/seed flow through to the base generator; an
-    // explicit base.jobs / base.seed wins.
-    if (const std::string* jobs = spec.find("jobs")) {
-      inner.set_default("jobs", *jobs);
-    }
-    if (const std::string* seed = spec.find("seed")) {
-      inner.set_default("seed", *seed);
-    }
-    jobs_ = generate_jobs(inner);
-
-    FlashCrowdParams params;
-    params.peak = spec.get_double("peak", params.peak);
-    params.start = spec.get_double("start", params.start);
-    params.duration = spec.get_double("duration", params.duration);
-    params.period = spec.get_double("period", params.period);
-    params.diurnal_amplitude =
-        spec.get_double("diurnal", params.diurnal_amplitude);
-    apply_rate_modulation(jobs_, params);
-    next_ = 0;
-  }
-};
-
-class MixShiftGenerator final : public MaterializedGenerator {
- public:
-  const char* method() const override { return "mixshift"; }
-
-  void load(const GeneratorSpec& spec) override {
-    // Two dotted forwarding prefixes (a., b.) — require_known() supports
-    // only one, so validate the key set by hand.
-    for (const auto& [key, value] : spec.params) {
-      const bool plain = key == "a" || key == "b" || key == "t" ||
-                         key == "jobs" || key == "seed";
-      const bool dotted =
-          key.size() > 2 && (key.compare(0, 2, "a.") == 0 ||
-                             key.compare(0, 2, "b.") == 0);
-      if (!plain && !dotted) {
-        bad_spec("unknown parameter '" + key + "' for method 'mixshift'");
-      }
-    }
-    GeneratorSpec inner_a;
-    GeneratorSpec inner_b;
-    inner_a.method = spec.get_string("a", "sdsc");
-    inner_b.method = spec.get_string("b", "zipf");
-    for (const auto& [key, value] : spec.params) {
-      if (key.size() > 2 && key.compare(0, 2, "a.") == 0) {
-        inner_a.params.emplace_back(key.substr(2), value);
-      } else if (key.size() > 2 && key.compare(0, 2, "b.") == 0) {
-        inner_b.params.emplace_back(key.substr(2), value);
-      }
-    }
-    // Harness-level jobs/seed flow through to both phases; an explicit
-    // a.jobs / b.seed etc. wins. `jobs` also caps the spliced total so
-    // the harness's job-count default means what it says.
-    if (const std::string* jobs = spec.find("jobs")) {
-      inner_a.set_default("jobs", *jobs);
-      inner_b.set_default("jobs", *jobs);
-    }
-    if (const std::string* seed = spec.find("seed")) {
-      inner_a.set_default("seed", *seed);
-      inner_b.set_default("seed", *seed);
-    }
-    const double at = spec.get_double("t", 6.0 * 3600.0);
-    jobs_ = splice_mix_shift(generate_jobs(inner_a), generate_jobs(inner_b),
-                             at, spec.get_u64("jobs", 0));
-    next_ = 0;
-  }
-};
-
-std::vector<GeneratorMethod>& registry_storage() {
-  static std::vector<GeneratorMethod> methods;
-  return methods;
+std::vector<Job> sdsc(const GeneratorSpec& spec) {
+  spec.require_known(
+      {"jobs", "max_procs", "mean_interarrival", "mean_runtime", "runtime_cv",
+       "max_runtime", "min_runtime", "power_of_two_bias", "mean_procs_target",
+       "overestimate_fraction", "over_factor_lo", "over_factor_hi",
+       "under_factor_lo", "under_factor_hi", "queue_limit_mode_fraction",
+       "diurnal_amplitude", "seed"});
+  SyntheticSdscConfig cfg;
+  cfg.job_count = spec.get_u32("jobs", cfg.job_count);
+  cfg.max_procs = spec.get_u32("max_procs", cfg.max_procs);
+  cfg.mean_interarrival =
+      spec.get_double("mean_interarrival", cfg.mean_interarrival);
+  cfg.mean_runtime = spec.get_double("mean_runtime", cfg.mean_runtime);
+  cfg.runtime_cv = spec.get_double("runtime_cv", cfg.runtime_cv);
+  cfg.max_runtime = spec.get_double("max_runtime", cfg.max_runtime);
+  cfg.min_runtime = spec.get_double("min_runtime", cfg.min_runtime);
+  cfg.power_of_two_bias =
+      spec.get_double("power_of_two_bias", cfg.power_of_two_bias);
+  cfg.mean_procs_target =
+      spec.get_double("mean_procs_target", cfg.mean_procs_target);
+  cfg.overestimate_fraction =
+      spec.get_double("overestimate_fraction", cfg.overestimate_fraction);
+  cfg.over_factor_lo = spec.get_double("over_factor_lo", cfg.over_factor_lo);
+  cfg.over_factor_hi = spec.get_double("over_factor_hi", cfg.over_factor_hi);
+  cfg.under_factor_lo = spec.get_double("under_factor_lo", cfg.under_factor_lo);
+  cfg.under_factor_hi = spec.get_double("under_factor_hi", cfg.under_factor_hi);
+  cfg.queue_limit_mode_fraction = spec.get_double(
+      "queue_limit_mode_fraction", cfg.queue_limit_mode_fraction);
+  cfg.diurnal_amplitude =
+      spec.get_double("diurnal_amplitude", cfg.diurnal_amplitude);
+  cfg.seed = spec.get_u64("seed", cfg.seed);
+  return generate_synthetic_sdsc(cfg);
 }
 
-void append_method(GeneratorMethod method) {
-  if (method.name.empty()) bad_spec("cannot register an empty method name");
-  if (!method.create) {
-    bad_spec("method '" + method.name + "' registered without a factory");
-  }
-  for (const auto& existing : registry_storage()) {
-    if (existing.name == method.name) {
-      bad_spec("method '" + method.name + "' is already registered");
+std::vector<Job> lublin(const GeneratorSpec& spec) {
+  spec.require_known(
+      {"jobs", "max_procs", "serial_fraction", "power_of_two_fraction",
+       "mean_interarrival", "arrival_shape", "short_shape", "short_scale",
+       "long_shape", "long_scale", "p_short_serial", "p_short_wide",
+       "max_runtime", "min_runtime", "overestimate_fraction", "over_factor_lo",
+       "over_factor_hi", "under_factor_lo", "under_factor_hi", "seed"});
+  SyntheticLublinConfig cfg;
+  cfg.job_count = spec.get_u32("jobs", cfg.job_count);
+  cfg.max_procs = spec.get_u32("max_procs", cfg.max_procs);
+  cfg.serial_fraction = spec.get_double("serial_fraction", cfg.serial_fraction);
+  cfg.power_of_two_fraction =
+      spec.get_double("power_of_two_fraction", cfg.power_of_two_fraction);
+  cfg.mean_interarrival =
+      spec.get_double("mean_interarrival", cfg.mean_interarrival);
+  cfg.arrival_shape = spec.get_double("arrival_shape", cfg.arrival_shape);
+  cfg.short_shape = spec.get_double("short_shape", cfg.short_shape);
+  cfg.short_scale = spec.get_double("short_scale", cfg.short_scale);
+  cfg.long_shape = spec.get_double("long_shape", cfg.long_shape);
+  cfg.long_scale = spec.get_double("long_scale", cfg.long_scale);
+  cfg.p_short_serial = spec.get_double("p_short_serial", cfg.p_short_serial);
+  cfg.p_short_wide = spec.get_double("p_short_wide", cfg.p_short_wide);
+  cfg.max_runtime = spec.get_double("max_runtime", cfg.max_runtime);
+  cfg.min_runtime = spec.get_double("min_runtime", cfg.min_runtime);
+  cfg.overestimate_fraction =
+      spec.get_double("overestimate_fraction", cfg.overestimate_fraction);
+  cfg.over_factor_lo = spec.get_double("over_factor_lo", cfg.over_factor_lo);
+  cfg.over_factor_hi = spec.get_double("over_factor_hi", cfg.over_factor_hi);
+  cfg.under_factor_lo = spec.get_double("under_factor_lo", cfg.under_factor_lo);
+  cfg.under_factor_hi = spec.get_double("under_factor_hi", cfg.under_factor_hi);
+  cfg.seed = spec.get_u64("seed", cfg.seed);
+  return generate_synthetic_lublin(cfg);
+}
+
+std::vector<Job> swf(const GeneratorSpec& spec) {
+  // `seed` is accepted (the harness injects it uniformly) but a trace
+  // replay has no entropy to seed.
+  spec.require_known(
+      {"path", "jobs", "completed_only", "drop_degenerate", "rebase", "seed"});
+  const std::string path = spec.get_string("path", "");
+  if (path.empty()) bad_spec("method 'swf' requires path=<file.swf>");
+  SwfLoadOptions options;
+  options.completed_only = spec.get_u32("completed_only", 1) != 0;
+  options.drop_degenerate = spec.get_u32("drop_degenerate", 1) != 0;
+  options.keep_last = spec.get_u64("jobs", 0);
+  options.rebase_submit_times = spec.get_u32("rebase", 1) != 0;
+  return load_swf(path, options).jobs;
+}
+
+std::vector<Job> zipf(const GeneratorSpec& spec) {
+  spec.require_known(
+      {"jobs", "tenants", "theta", "mean_interarrival", "max_procs",
+       "power_of_two_bias", "mean_runtime", "runtime_cv", "max_runtime",
+       "min_runtime", "overestimate_fraction", "over_factor_lo",
+       "over_factor_hi", "under_factor_lo", "under_factor_hi", "seed"});
+  ZipfianMultiTenantConfig cfg;
+  cfg.job_count = spec.get_u32("jobs", cfg.job_count);
+  cfg.tenant_count = spec.get_u64("tenants", cfg.tenant_count);
+  cfg.theta = spec.get_double("theta", cfg.theta);
+  cfg.mean_interarrival =
+      spec.get_double("mean_interarrival", cfg.mean_interarrival);
+  cfg.max_procs = spec.get_u32("max_procs", cfg.max_procs);
+  cfg.power_of_two_bias =
+      spec.get_double("power_of_two_bias", cfg.power_of_two_bias);
+  cfg.mean_runtime = spec.get_double("mean_runtime", cfg.mean_runtime);
+  cfg.runtime_cv = spec.get_double("runtime_cv", cfg.runtime_cv);
+  cfg.max_runtime = spec.get_double("max_runtime", cfg.max_runtime);
+  cfg.min_runtime = spec.get_double("min_runtime", cfg.min_runtime);
+  cfg.overestimate_fraction =
+      spec.get_double("overestimate_fraction", cfg.overestimate_fraction);
+  cfg.over_factor_lo = spec.get_double("over_factor_lo", cfg.over_factor_lo);
+  cfg.over_factor_hi = spec.get_double("over_factor_hi", cfg.over_factor_hi);
+  cfg.under_factor_lo = spec.get_double("under_factor_lo", cfg.under_factor_lo);
+  cfg.under_factor_hi = spec.get_double("under_factor_hi", cfg.under_factor_hi);
+  cfg.seed = spec.get_u64("seed", cfg.seed);
+  return generate_zipfian_multi_tenant(cfg);
+}
+
+std::vector<Job> daly(const GeneratorSpec& spec) {
+  spec.require_known({"jobs", "max_procs", "power_of_two_bias",
+                      "mean_interarrival", "mean_solve", "solve_cv",
+                      "min_solve", "max_solve", "checkpoint_write", "interval",
+                      "mtti", "pad_lo", "pad_hi", "seed"});
+  DalyCheckpointConfig cfg;
+  cfg.job_count = spec.get_u32("jobs", cfg.job_count);
+  cfg.max_procs = spec.get_u32("max_procs", cfg.max_procs);
+  cfg.power_of_two_bias =
+      spec.get_double("power_of_two_bias", cfg.power_of_two_bias);
+  cfg.mean_interarrival =
+      spec.get_double("mean_interarrival", cfg.mean_interarrival);
+  cfg.mean_solve = spec.get_double("mean_solve", cfg.mean_solve);
+  cfg.solve_cv = spec.get_double("solve_cv", cfg.solve_cv);
+  cfg.min_solve = spec.get_double("min_solve", cfg.min_solve);
+  cfg.max_solve = spec.get_double("max_solve", cfg.max_solve);
+  cfg.checkpoint_write_seconds =
+      spec.get_double("checkpoint_write", cfg.checkpoint_write_seconds);
+  cfg.checkpoint_interval =
+      spec.get_double("interval", cfg.checkpoint_interval);
+  cfg.mtti_seconds = spec.get_double("mtti", cfg.mtti_seconds);
+  cfg.estimate_pad_lo = spec.get_double("pad_lo", cfg.estimate_pad_lo);
+  cfg.estimate_pad_hi = spec.get_double("pad_hi", cfg.estimate_pad_hi);
+  cfg.seed = spec.get_u64("seed", cfg.seed);
+  return generate_daly_checkpoint(cfg);
+}
+
+/// The inner spec a composing method forwards under `prefix`: method
+/// `prefix` (else `fallback`), every "prefix.K=V" as K=V, and the outer
+/// jobs/seed as defaults (an explicit prefix.jobs / prefix.seed wins).
+GeneratorSpec forwarded(const GeneratorSpec& outer, const std::string& prefix,
+                        const std::string& fallback) {
+  GeneratorSpec inner;
+  inner.method = outer.get_string(prefix, fallback);
+  for (const auto& [key, value] : outer.params) {
+    if (forwards_under(key, prefix)) {
+      inner.params.emplace_back(key.substr(prefix.size() + 1), value);
     }
   }
-  registry_storage().push_back(std::move(method));
+  for (const char* key : {"jobs", "seed"}) {
+    if (const std::string* value = outer.find(key)) {
+      inner.set_default(key, *value);
+    }
+  }
+  return inner;
 }
 
-template <typename G>
-GeneratorMethod builtin(std::string name, std::string summary,
-                        std::vector<GeneratorParamDoc> params) {
-  GeneratorMethod method;
-  method.name = std::move(name);
-  method.summary = std::move(summary);
-  method.params = std::move(params);
-  method.create = [] { return std::make_unique<G>(); };
-  return method;
+std::vector<Job> flash(const GeneratorSpec& spec) {
+  spec.require_known(
+      {"base", "peak", "start", "duration", "period", "diurnal", "jobs",
+       "seed"},
+      {"base"});
+  std::vector<Job> jobs = generate_jobs(forwarded(spec, "base", "sdsc"));
+  FlashCrowdParams params;
+  params.peak = spec.get_double("peak", params.peak);
+  params.start = spec.get_double("start", params.start);
+  params.duration = spec.get_double("duration", params.duration);
+  params.period = spec.get_double("period", params.period);
+  params.diurnal_amplitude =
+      spec.get_double("diurnal", params.diurnal_amplitude);
+  apply_rate_modulation(jobs, params);
+  return jobs;
 }
 
-void register_builtins() {
-  append_method(builtin<SdscGenerator>(
-      "sdsc", "synthetic SDSC SP2 batch trace (paper's primary workload)",
-      {{"jobs", "job count (default 5000)"},
-       {"max_procs", "cluster width (default 128)"},
-       {"mean_interarrival", "mean inter-arrival seconds (default 1969)"},
-       {"mean_runtime", "mean runtime seconds (default 8671)"},
-       {"runtime_cv", "runtime coefficient of variation (default 1.8)"},
-       {"diurnal_amplitude", "daily arrival swing in [0,1) (default 0.5)"},
-       {"seed", "RNG seed (default 42)"}}));
-  append_method(builtin<LublinGenerator>(
-      "lublin", "Lublin-Feitelson hyper-gamma robustness workload",
-      {{"jobs", "job count (default 5000)"},
-       {"max_procs", "cluster width (default 128)"},
-       {"serial_fraction", "fraction of serial jobs (default 0.24)"},
-       {"mean_interarrival", "mean inter-arrival seconds (default 1969)"},
-       {"arrival_shape", "gamma arrival shape, <1 bursty (default 0.6)"},
-       {"seed", "RNG seed (default 1337)"}}));
-  append_method(builtin<SwfGenerator>(
-      "swf", "replay a Standard Workload Format trace file",
-      {{"path", "SWF file path (required)"},
-       {"jobs", "keep only the last N jobs (default 0 = all)"},
-       {"completed_only", "drop non-completed jobs, 0/1 (default 1)"},
-       {"drop_degenerate", "drop zero-runtime/procs jobs, 0/1 (default 1)"},
-       {"rebase", "rebase first submit to t=0, 0/1 (default 1)"},
-       {"seed", "accepted for uniformity; a replay has no entropy"}}));
-  append_method(builtin<ZipfGenerator>(
-      "zipf", "Zipfian-skewed multi-tenant service traffic (stamps tenant id)",
-      {{"jobs", "job count (default 5000)"},
-       {"tenants", "tenant population size (default 1000000)"},
-       {"theta", "Zipfian skew in [0,1); 0 uniform, 0.99 YCSB (default 0.99)"},
-       {"mean_interarrival", "mean inter-arrival seconds (default 300)"},
-       {"mean_runtime", "mean runtime seconds (default 2400)"},
-       {"seed", "RNG seed (default 42)"}}));
-  append_method(builtin<FlashGenerator>(
-      "flash", "diurnal/flash-crowd rate modulation over any base method",
-      {{"base", "inner method name (default sdsc); base.K=V forwards K=V"},
-       {"peak", "rate multiplier inside the crowd window (default 8)"},
-       {"start", "window start seconds (default 21600)"},
-       {"duration", "window length seconds (default 7200)"},
-       {"period", "repeat every N seconds; 0 one-shot (default 0)"},
-       {"diurnal", "smooth daily swing in [0,1) (default 0)"},
-       {"seed", "forwarded to the base generator"}}));
-  append_method(builtin<MixShiftGenerator>(
-      "mixshift", "switch the traffic mix from method a to method b at time t",
-      {{"a", "pre-switch method name (default sdsc); a.K=V forwards K=V"},
-       {"b", "post-switch method name (default zipf); b.K=V forwards K=V"},
-       {"t", "virtual switch time in seconds (default 21600)"},
-       {"jobs", "total job cap after the splice; also each phase's default"},
-       {"seed", "forwarded to both phases (a.seed / b.seed override)"}}));
-  append_method(builtin<DalyGenerator>(
-      "daly", "checkpoint-restart jobs with Daly-interval dump overhead",
-      {{"jobs", "job count (default 2000)"},
-       {"mean_solve", "mean failure-free solve seconds (default 21600)"},
-       {"checkpoint_write", "checkpoint write cost delta seconds (default "
-                            "120)"},
-       {"interval", "checkpoint interval tau seconds; 0 = Daly optimum "
-                    "(default 0)"},
-       {"mtti", "mean time to interrupt seconds (default 86400)"},
-       {"seed", "RNG seed (default 42)"}}));
-}
-
-void ensure_builtins() {
-  static const bool once = [] {
-    register_builtins();
-    return true;
-  }();
-  (void)once;
+std::vector<Job> mixshift(const GeneratorSpec& spec) {
+  spec.require_known({"a", "b", "t", "jobs", "seed"}, {"a", "b"});
+  // `jobs` also caps the spliced total, so the harness's job-count
+  // default means what it says.
+  const double at = spec.get_double("t", 6.0 * 3600.0);
+  return splice_mix_shift(generate_jobs(forwarded(spec, "a", "sdsc")),
+                          generate_jobs(forwarded(spec, "b", "zipf")), at,
+                          spec.get_u64("jobs", 0));
 }
 
 }  // namespace
 
-void register_generator(GeneratorMethod method) {
-  ensure_builtins();
-  append_method(std::move(method));
-}
-
 const std::vector<GeneratorMethod>& registered_generators() {
-  ensure_builtins();
-  return registry_storage();
-}
-
-std::unique_ptr<WorkloadGenerator> make_generator(const GeneratorSpec& spec) {
-  for (const auto& method : registered_generators()) {
-    if (method.name == spec.method) {
-      auto generator = method.create();
-      generator->load(spec);
-      return generator;
-    }
-  }
-  bad_spec("unknown method '" + spec.method + "' (see `utilrisk trace --list`)");
+  static const std::vector<GeneratorMethod> methods = {
+      {"sdsc",
+       "synthetic SDSC SP2 batch trace (paper's primary workload)",
+       {{"jobs", "job count (default 5000)"},
+        {"max_procs", "cluster width (default 128)"},
+        {"mean_interarrival", "mean inter-arrival seconds (default 1969)"},
+        {"mean_runtime", "mean runtime seconds (default 8671)"},
+        {"runtime_cv", "runtime coefficient of variation (default 1.8)"},
+        {"diurnal_amplitude", "daily arrival swing in [0,1) (default 0.5)"},
+        {"seed", "RNG seed (default 42)"}},
+       sdsc},
+      {"lublin",
+       "Lublin-Feitelson hyper-gamma robustness workload",
+       {{"jobs", "job count (default 5000)"},
+        {"max_procs", "cluster width (default 128)"},
+        {"serial_fraction", "fraction of serial jobs (default 0.24)"},
+        {"mean_interarrival", "mean inter-arrival seconds (default 1969)"},
+        {"arrival_shape", "gamma arrival shape, <1 bursty (default 0.6)"},
+        {"seed", "RNG seed (default 1337)"}},
+       lublin},
+      {"swf",
+       "replay a Standard Workload Format trace file",
+       {{"path", "SWF file path (required)"},
+        {"jobs", "keep only the last N jobs (default 0 = all)"},
+        {"completed_only", "drop non-completed jobs, 0/1 (default 1)"},
+        {"drop_degenerate", "drop zero-runtime/procs jobs, 0/1 (default 1)"},
+        {"rebase", "rebase first submit to t=0, 0/1 (default 1)"},
+        {"seed", "accepted for uniformity; a replay has no entropy"}},
+       swf},
+      {"zipf",
+       "Zipfian-skewed multi-tenant service traffic (stamps tenant id)",
+       {{"jobs", "job count (default 5000)"},
+        {"tenants", "tenant population size (default 1000000)"},
+        {"theta",
+         "Zipfian skew in [0,1); 0 uniform, 0.99 YCSB (default 0.99)"},
+        {"mean_interarrival", "mean inter-arrival seconds (default 300)"},
+        {"mean_runtime", "mean runtime seconds (default 2400)"},
+        {"seed", "RNG seed (default 42)"}},
+       zipf},
+      {"flash",
+       "diurnal/flash-crowd rate modulation over any base method",
+       {{"base", "inner method name (default sdsc); base.K=V forwards K=V"},
+        {"peak", "rate multiplier inside the crowd window (default 8)"},
+        {"start", "window start seconds (default 21600)"},
+        {"duration", "window length seconds (default 7200)"},
+        {"period", "repeat every N seconds; 0 one-shot (default 0)"},
+        {"diurnal", "smooth daily swing in [0,1) (default 0)"},
+        {"seed", "forwarded to the base generator"}},
+       flash},
+      {"mixshift",
+       "switch the traffic mix from method a to method b at time t",
+       {{"a", "pre-switch method name (default sdsc); a.K=V forwards K=V"},
+        {"b", "post-switch method name (default zipf); b.K=V forwards K=V"},
+        {"t", "virtual switch time in seconds (default 21600)"},
+        {"jobs", "total job cap after the splice; also each phase's default"},
+        {"seed", "forwarded to both phases (a.seed / b.seed override)"}},
+       mixshift},
+      {"daly",
+       "checkpoint-restart jobs with Daly-interval dump overhead",
+       {{"jobs", "job count (default 2000)"},
+        {"mean_solve", "mean failure-free solve seconds (default 21600)"},
+        {"checkpoint_write",
+         "checkpoint write cost delta seconds (default 120)"},
+        {"interval",
+         "checkpoint interval tau seconds; 0 = Daly optimum (default 0)"},
+        {"mtti", "mean time to interrupt seconds (default 86400)"},
+        {"seed", "RNG seed (default 42)"}},
+       daly},
+  };
+  return methods;
 }
 
 std::vector<Job> generate_jobs(const GeneratorSpec& spec) {
-  auto generator = make_generator(spec);
-  std::vector<Job> jobs;
-  while (auto job = generator->get_next()) jobs.push_back(*job);
-  return jobs;
+  for (const GeneratorMethod& method : registered_generators()) {
+    if (method.name != spec.method) continue;
+    std::vector<Job> jobs = method.generate(spec);
+    for (const Job& job : jobs) {
+      if (!std::isfinite(job.submit_time) ||
+          !std::isfinite(job.actual_runtime) ||
+          !std::isfinite(job.estimated_runtime)) {
+        bad_spec("method '" + spec.method +
+                 "' produced a non-finite submit time or runtime at job " +
+                 std::to_string(job.id) + " (a mean too large?)");
+      }
+    }
+    return jobs;
+  }
+  bad_spec("unknown method '" + spec.method + "' (see `utilrisk trace --list`)");
 }
 
 std::vector<Job> generate_jobs(const std::string& spec_text) {
   return generate_jobs(GeneratorSpec::parse(spec_text));
 }
 
-std::string spec_for(const SyntheticSdscConfig& c) {
-  GeneratorSpec spec;
-  spec.method = "sdsc";
-  spec.params = {
-      {"jobs", std::to_string(c.job_count)},
-      {"max_procs", std::to_string(c.max_procs)},
-      {"mean_interarrival", format_double(c.mean_interarrival)},
-      {"mean_runtime", format_double(c.mean_runtime)},
-      {"runtime_cv", format_double(c.runtime_cv)},
-      {"max_runtime", format_double(c.max_runtime)},
-      {"min_runtime", format_double(c.min_runtime)},
-      {"power_of_two_bias", format_double(c.power_of_two_bias)},
-      {"mean_procs_target", format_double(c.mean_procs_target)},
-      {"overestimate_fraction", format_double(c.overestimate_fraction)},
-      {"over_factor_lo", format_double(c.over_factor_lo)},
-      {"over_factor_hi", format_double(c.over_factor_hi)},
-      {"under_factor_lo", format_double(c.under_factor_lo)},
-      {"under_factor_hi", format_double(c.under_factor_hi)},
-      {"queue_limit_mode_fraction",
-       format_double(c.queue_limit_mode_fraction)},
-      {"diurnal_amplitude", format_double(c.diurnal_amplitude)},
-      {"seed", std::to_string(c.seed)},
-  };
-  return spec.to_string();
-}
-
-std::string spec_for(const SyntheticLublinConfig& c) {
-  GeneratorSpec spec;
-  spec.method = "lublin";
-  spec.params = {
-      {"jobs", std::to_string(c.job_count)},
-      {"max_procs", std::to_string(c.max_procs)},
-      {"serial_fraction", format_double(c.serial_fraction)},
-      {"power_of_two_fraction", format_double(c.power_of_two_fraction)},
-      {"mean_interarrival", format_double(c.mean_interarrival)},
-      {"arrival_shape", format_double(c.arrival_shape)},
-      {"short_shape", format_double(c.short_shape)},
-      {"short_scale", format_double(c.short_scale)},
-      {"long_shape", format_double(c.long_shape)},
-      {"long_scale", format_double(c.long_scale)},
-      {"p_short_serial", format_double(c.p_short_serial)},
-      {"p_short_wide", format_double(c.p_short_wide)},
-      {"max_runtime", format_double(c.max_runtime)},
-      {"min_runtime", format_double(c.min_runtime)},
-      {"overestimate_fraction", format_double(c.overestimate_fraction)},
-      {"over_factor_lo", format_double(c.over_factor_lo)},
-      {"over_factor_hi", format_double(c.over_factor_hi)},
-      {"under_factor_lo", format_double(c.under_factor_lo)},
-      {"under_factor_hi", format_double(c.under_factor_hi)},
-      {"seed", std::to_string(c.seed)},
-  };
-  return spec.to_string();
+std::vector<Job> generate_jobs(GeneratorSpec spec, std::uint32_t jobs,
+                               std::uint64_t seed) {
+  spec.set_default("jobs", std::to_string(jobs));
+  spec.set_default("seed", std::to_string(seed));
+  return generate_jobs(spec);
 }
 
 }  // namespace utilrisk::workload

@@ -1,40 +1,30 @@
-// Pluggable workload-generator API (after the codes-workload method
-// interface): every traffic shape the harness can offer is a *method*
-// behind one interface —
-//
-//   load(spec)   configure the generator from a parsed spec and reset
-//                its job stream;
-//   get_next()   stream the next job in submission order (nullopt ends
-//                the stream).
-//
-// Methods register themselves in a central registry under a short name
-// and are addressed everywhere — experiment matrix, `utilrisk` CLI,
-// loadgen, run manifests — by a spec string:
+// Workload methods (after the codes-workload method table): every
+// traffic shape the harness can offer is a *method*, a plain function
+// from a parsed spec to the whole job stream. Methods are addressed
+// everywhere — experiment matrix, `utilrisk` CLI, loadgen, run
+// manifests — by a spec string:
 //
 //   name                         e.g.  "sdsc"
 //   name:key=value,key=value     e.g.  "zipf:tenants=1000000,theta=0.99"
 //
-// Keys may not repeat; unknown keys are rejected at load() time so a
+// Keys may not repeat; unknown keys are rejected before generating, so a
 // typo fails loudly instead of silently running the default workload.
-// Composing methods forward dotted keys to their inner generator:
+// Composing methods forward dotted keys to their inner method:
 // "flash:base=lublin,base.serial_fraction=0.3,peak=8".
 //
-// Seed convention (uniform across every method): each generator accepts
+// Seed convention (uniform across every method): each method accepts
 //   seed=<u64>
 // as its *sole* entropy source. The seed is expanded with sim::Rng
 // (SplitMix64 -> xoshiro256**) into independent per-attribute child
 // streams via Rng::split(), never std::random_device or wall clock, so
 // one spec string is one bit-exact job stream on every platform, and
 // consuming more draws for one attribute never reshuffles another.
-// Harness layers (experiment config, loadgen) thread their own job-count
-// and seed defaults into a spec with GeneratorSpec::set_default — an
+// Harness layers (experiment config, loadgen, CLI) pass their own job
+// count and seed to generate_jobs(spec, jobs, seed) as defaults — an
 // explicit key in the spec always wins.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,7 +55,7 @@ struct GeneratorSpec {
   void set_default(const std::string& key, const std::string& value);
 
   // Typed lookups with defaults; throw std::invalid_argument naming the
-  // key on malformed values.
+  // key on malformed values (get_double also on nan and inf).
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   [[nodiscard]] std::uint64_t get_u64(const std::string& key,
@@ -76,34 +66,16 @@ struct GeneratorSpec {
                                        const std::string& fallback) const;
 
   /// Throws std::invalid_argument naming the first key that is neither
-  /// in `known` nor (when `allow_dotted_prefix` is non-empty) prefixed
-  /// "<allow_dotted_prefix>.". Every method calls this in load().
+  /// in `known` nor "<prefix>.<key>" for one of `dotted_prefixes` (the
+  /// keys a composing method forwards). Every method calls this first.
   void require_known(const std::vector<std::string>& known,
-                     const std::string& allow_dotted_prefix = "") const;
+                     const std::vector<std::string>& dotted_prefixes = {})
+      const;
 };
 
 /// Exact round-trip formatting for doubles in spec strings (shortest
 /// form that parses back to the same bits — std::to_chars).
 [[nodiscard]] std::string format_double(double value);
-
-/// The generator-method interface. Implementations must be deterministic
-/// in their spec (seed convention above) and yield jobs in submission
-/// order with ids 1..N, the first submission at t = 0 and QoS fields
-/// left zero (qos.hpp assigns SLA terms downstream).
-class WorkloadGenerator {
- public:
-  virtual ~WorkloadGenerator() = default;
-
-  /// The registered method name this instance implements.
-  [[nodiscard]] virtual const char* method() const = 0;
-
-  /// Validates the spec (unknown keys throw), configures the generator
-  /// and (re)sets the stream to its first job.
-  virtual void load(const GeneratorSpec& spec) = 0;
-
-  /// Next job of the stream; nullopt = end of workload.
-  [[nodiscard]] virtual std::optional<Job> get_next() = 0;
-};
 
 /// One parameter's documentation line for `utilrisk trace --list`.
 struct GeneratorParamDoc {
@@ -111,39 +83,32 @@ struct GeneratorParamDoc {
   std::string doc;
 };
 
-/// A registered method: name, summary, parameter docs and factory.
+/// A workload method: name, summary, parameter docs and the function
+/// that generates its trace. A method must be deterministic in its spec
+/// (seed convention above) and return jobs in submission order with ids
+/// 1..N, the first submission at t = 0 and QoS fields left zero (qos.hpp
+/// assigns SLA terms downstream).
 struct GeneratorMethod {
   std::string name;
   std::string summary;
   std::vector<GeneratorParamDoc> params;
-  std::function<std::unique_ptr<WorkloadGenerator>()> create;
+  std::vector<Job> (*generate)(const GeneratorSpec& spec);
 };
 
-/// Registers a method (extension point for user code); throws
-/// std::invalid_argument on a duplicate or empty name.
-void register_generator(GeneratorMethod method);
-
-/// All registered methods (built-ins are registered on first use), in
-/// registration order: sdsc, lublin, swf, zipf, flash, mixshift, daly,
-/// then any user registrations.
+/// The built-in methods in listing order: sdsc, lublin, swf, zipf,
+/// flash, mixshift, daly.
 [[nodiscard]] const std::vector<GeneratorMethod>& registered_generators();
 
-/// Creates and load()s the spec's method; throws std::invalid_argument
-/// on an unknown method name or a bad spec.
-[[nodiscard]] std::unique_ptr<WorkloadGenerator> make_generator(
-    const GeneratorSpec& spec);
-
-/// Drains a freshly loaded generator into a vector (the harness's batch
-/// entry point; streaming consumers call get_next() themselves).
+/// Generates the spec's method. Throws std::invalid_argument on an
+/// unknown method, a bad spec, or a trace with a non-finite submit time
+/// or runtime (a finite but huge mean can overflow the arrival clock).
 [[nodiscard]] std::vector<Job> generate_jobs(const GeneratorSpec& spec);
 [[nodiscard]] std::vector<Job> generate_jobs(const std::string& spec_text);
 
-// Canonical full-fidelity specs for the legacy config structs: every
-// field is emitted, so routing a config through the registry reproduces
-// the direct generator call bit for bit (the golden-digest contract).
-struct SyntheticSdscConfig;
-struct SyntheticLublinConfig;
-[[nodiscard]] std::string spec_for(const SyntheticSdscConfig& config);
-[[nodiscard]] std::string spec_for(const SyntheticLublinConfig& config);
+/// The harness entry point: generates `spec` with `jobs` and `seed`
+/// injected as defaults (an explicit key in the spec wins).
+[[nodiscard]] std::vector<Job> generate_jobs(GeneratorSpec spec,
+                                             std::uint32_t jobs,
+                                             std::uint64_t seed);
 
 }  // namespace utilrisk::workload

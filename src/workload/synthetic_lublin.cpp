@@ -121,6 +121,13 @@ std::vector<Job> generate_synthetic_lublin(
         sample_lublin_estimate(estimates, cfg, job.actual_runtime);
     jobs.push_back(job);
 
+    // A huge mean can overflow the clock; the hour index below needs a
+    // finite one.
+    if (!std::isfinite(clock)) {
+      throw std::invalid_argument(
+          "generate_synthetic_lublin: arrival clock overflowed "
+          "(mean_interarrival too large)");
+    }
     const int hour = static_cast<int>(
         std::fmod(clock, sim::duration::kDay) / sim::duration::kHour);
     const double slowdown =

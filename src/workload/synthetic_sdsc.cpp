@@ -87,6 +87,10 @@ std::vector<Job> generate_synthetic_sdsc(const SyntheticSdscConfig& cfg) {
     throw std::invalid_argument(
         "generate_synthetic_sdsc: overestimate_fraction outside [0,1]");
   }
+  if (!(cfg.diurnal_amplitude >= 0.0 && cfg.diurnal_amplitude < 1.0)) {
+    throw std::invalid_argument(
+        "generate_synthetic_sdsc: diurnal_amplitude outside [0,1)");
+  }
 
   sim::Rng rng(cfg.seed);
   // Independent streams per attribute so tweaking one knob (e.g. estimate

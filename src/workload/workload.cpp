@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "workload/generator.hpp"
-
 namespace utilrisk::workload {
 
 void apply_arrival_delay_factor(std::vector<Job>& jobs, double factor) {
@@ -43,10 +41,7 @@ void apply_estimate_inaccuracy(std::vector<Job>& jobs,
 }
 
 WorkloadBuilder::WorkloadBuilder(const SyntheticSdscConfig& trace_config)
-    : base_(generate_jobs(spec_for(trace_config))) {}
-
-WorkloadBuilder::WorkloadBuilder(const std::string& generator_spec)
-    : base_(generate_jobs(generator_spec)) {}
+    : base_(generate_synthetic_sdsc(trace_config)) {}
 
 WorkloadBuilder::WorkloadBuilder(std::vector<Job> base_trace)
     : base_(std::move(base_trace)) {}

@@ -2,7 +2,6 @@
 // runtime-estimate inaccuracy) -> the job stream fed to a simulation run.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "workload/job.hpp"
@@ -32,16 +31,12 @@ void apply_estimate_inaccuracy(std::vector<Job>& jobs,
 /// study).
 class WorkloadBuilder {
  public:
-  /// Builds on a synthetic SDSC SP2 base trace. Routed through the
-  /// generator registry (spec_for emits every config field), so the
-  /// trace is bit-identical to calling generate_synthetic_sdsc directly.
+  /// Builds on a synthetic SDSC SP2 base trace (generate_synthetic_sdsc,
+  /// the same function the `sdsc` workload method calls).
   explicit WorkloadBuilder(const SyntheticSdscConfig& trace_config);
 
-  /// Builds on any registered generator method, addressed by a
-  /// "name:key=value,..." spec string (generator.hpp).
-  explicit WorkloadBuilder(const std::string& generator_spec);
-
-  /// Builds on an externally loaded trace (e.g. the real SWF file).
+  /// Builds on an externally generated or loaded trace (any workload
+  /// method's generate_jobs, or the real SWF file).
   explicit WorkloadBuilder(std::vector<Job> base_trace);
 
   /// Materialises a run's job stream:

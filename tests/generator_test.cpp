@@ -1,6 +1,6 @@
-// Tests for the pluggable workload-generator API (workload/generator.hpp):
-// spec grammar, registry round-trips, bit-identity of the legacy methods
-// routed through the registry, per-method determinism, and statistical
+// Tests for the workload methods (workload/generator.hpp): spec grammar,
+// the method table, spec keys wired to the config fields they name,
+// refusal of hostile specs, per-method determinism, and statistical
 // properties of the zipf/flash/daly generators.
 #include <algorithm>
 #include <cmath>
@@ -8,6 +8,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -116,56 +117,106 @@ TEST(GeneratorRegistry, BuiltinsRegisteredInOrder) {
   EXPECT_EQ(methods[6].name, "daly");
   for (const auto& method : methods) {
     EXPECT_FALSE(method.summary.empty()) << method.name;
-    EXPECT_TRUE(static_cast<bool>(method.create)) << method.name;
+    EXPECT_TRUE(static_cast<bool>(method.generate)) << method.name;
   }
 }
 
-TEST(GeneratorRegistry, StreamingInterfaceMatchesBatch) {
-  const GeneratorSpec spec = GeneratorSpec::parse("sdsc:jobs=50,seed=9");
-  auto generator = workload::make_generator(spec);
-  EXPECT_STREQ(generator->method(), "sdsc");
-  std::vector<Job> streamed;
-  while (auto job = generator->get_next()) streamed.push_back(*job);
-  EXPECT_EQ(streamed.size(), 50u);
-  expect_identical(streamed, workload::generate_jobs(spec));
-
-  // load() resets the stream.
-  generator->load(spec);
-  auto first_again = generator->get_next();
-  ASSERT_TRUE(first_again.has_value());
-  EXPECT_EQ(first_again->id, streamed.front().id);
-  EXPECT_EQ(first_again->submit_time, streamed.front().submit_time);
-}
-
-// Routing a legacy config through the registry must reproduce the direct
-// generator call bit for bit — the golden-digest contract.
-TEST(GeneratorRegistry, SdscSpecForIsBitIdentical) {
+// Every spec key must reach the config field it names: each key is set
+// to a value no other field shares, so a method that swaps two field
+// assignments generates a different trace.
+TEST(GeneratorRegistry, SdscSpecKeysReachTheirConfigFields) {
   workload::SyntheticSdscConfig config;
   config.job_count = 300;
-  config.seed = 20260808;
+  config.max_procs = 96;
+  config.mean_interarrival = 1500.25;
   config.mean_runtime = 7000.5;
+  config.runtime_cv = 1.35;
+  config.max_runtime = 50000.0;
+  config.min_runtime = 30.0;
+  config.power_of_two_bias = 0.6;
+  config.mean_procs_target = 21.0;
+  config.overestimate_fraction = 0.85;
+  config.over_factor_lo = 1.3;
+  config.over_factor_hi = 4.2;
+  config.under_factor_lo = 0.45;
+  config.under_factor_hi = 0.9;
+  config.queue_limit_mode_fraction = 0.15;
   config.diurnal_amplitude = 0.3;
-  expect_identical(workload::generate_jobs(workload::spec_for(config)),
-                   workload::generate_synthetic_sdsc(config));
+  config.seed = 20260808;
+  const std::vector<Job> direct = workload::generate_synthetic_sdsc(config);
+  expect_identical(
+      workload::generate_jobs(
+          "sdsc:jobs=300,max_procs=96,mean_interarrival=1500.25,"
+          "mean_runtime=7000.5,runtime_cv=1.35,max_runtime=50000,"
+          "min_runtime=30,power_of_two_bias=0.6,mean_procs_target=21,"
+          "overestimate_fraction=0.85,over_factor_lo=1.3,over_factor_hi=4.2,"
+          "under_factor_lo=0.45,under_factor_hi=0.9,"
+          "queue_limit_mode_fraction=0.15,diurnal_amplitude=0.3,"
+          "seed=20260808"),
+      direct);
+  expect_identical(workload::WorkloadBuilder(config).base_trace(), direct);
 }
 
-TEST(GeneratorRegistry, LublinSpecForIsBitIdentical) {
+TEST(GeneratorRegistry, LublinSpecKeysReachTheirConfigFields) {
   workload::SyntheticLublinConfig config;
   config.job_count = 300;
-  config.seed = 77;
+  config.max_procs = 64;
   config.serial_fraction = 0.31;
-  expect_identical(workload::generate_jobs(workload::spec_for(config)),
-                   workload::generate_synthetic_lublin(config));
+  config.power_of_two_fraction = 0.66;
+  config.mean_interarrival = 1777.5;
+  config.arrival_shape = 0.8;
+  config.short_shape = 2.5;
+  config.short_scale = 450.0;
+  config.long_shape = 1.2;
+  config.long_scale = 9000.0;
+  config.p_short_serial = 0.7;
+  config.p_short_wide = 0.4;
+  config.max_runtime = 60000.0;
+  config.min_runtime = 20.0;
+  config.overestimate_fraction = 0.88;
+  config.over_factor_lo = 1.15;
+  config.over_factor_hi = 3.5;
+  config.under_factor_lo = 0.5;
+  config.under_factor_hi = 0.97;
+  config.seed = 77;
+  expect_identical(
+      workload::generate_jobs(
+          "lublin:jobs=300,max_procs=64,serial_fraction=0.31,"
+          "power_of_two_fraction=0.66,mean_interarrival=1777.5,"
+          "arrival_shape=0.8,short_shape=2.5,short_scale=450,long_shape=1.2,"
+          "long_scale=9000,p_short_serial=0.7,p_short_wide=0.4,"
+          "max_runtime=60000,min_runtime=20,overestimate_fraction=0.88,"
+          "over_factor_lo=1.15,over_factor_hi=3.5,under_factor_lo=0.5,"
+          "under_factor_hi=0.97,seed=77"),
+      workload::generate_synthetic_lublin(config));
 }
 
-TEST(GeneratorRegistry, WorkloadBuilderRoutesSdscThroughRegistry) {
-  workload::SyntheticSdscConfig config;
-  config.job_count = 200;
-  const workload::WorkloadBuilder builder(config);
-  expect_identical(builder.base_trace(),
-                   workload::generate_synthetic_sdsc(config));
-  const workload::WorkloadBuilder by_spec(workload::spec_for(config));
-  expect_identical(by_spec.base_trace(), builder.base_trace());
+// A non-finite parameter, or a mean large enough to overflow the arrival
+// clock, is refused with an error naming the key or the method instead
+// of crashing or yielding a trace of infinities.
+TEST(GeneratorRegistry, NonFiniteAndOverflowingSpecsAreRefused) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"lublin:mean_interarrival=nan", "mean_interarrival"},
+      {"lublin:mean_interarrival=1e308", "mean_interarrival"},
+      {"flash:base=lublin,base.mean_interarrival=1e308", "mean_interarrival"},
+      {"mixshift:a=lublin,a.mean_interarrival=nan,t=100", "mean_interarrival"},
+      {"sdsc:diurnal_amplitude=1", "diurnal_amplitude"},
+      {"sdsc:diurnal_amplitude=-0.1", "diurnal_amplitude"},
+      {"sdsc:mean_interarrival=inf", "mean_interarrival"},
+      {"sdsc:mean_runtime=inf", "mean_runtime"},
+      {"zipf:mean_interarrival=1e308", "'zipf'"},
+      {"daly:mean_interarrival=1e308", "'daly'"},
+  };
+  for (const auto& [spec, named] : cases) {
+    SCOPED_TRACE(spec);
+    try {
+      (void)workload::generate_jobs(GeneratorSpec::parse(spec), 20, 42);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(named), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 // Same spec, two independent runs -> bit-identical stream, for every

@@ -274,6 +274,41 @@ TEST(AdmissionEngineTest, RequestStreamIsDeterministicAndOrdered) {
   }
 }
 
+// `--mix-shift` without `--workload` shifts away from the default SDSC
+// trace: phase a is exactly the `sdsc` method, and up to the switch the
+// stream carries the default stream's jobs. Their SLA terms are not
+// compared: assign_qos biases them by the whole stream's mean runtime,
+// which phase b moves.
+TEST(AdmissionEngineTest, MixShiftWithoutWorkloadStartsFromTheSdscTrace) {
+  LoadgenConfig plain;
+  plain.requests = 300;
+  plain.seed = 42;
+  LoadgenConfig shifted = plain;
+  shifted.mix_shift = "40000:zipf:tenants=4,theta=0.6";
+  LoadgenConfig named = shifted;
+  named.workload = "sdsc";
+  const std::vector<Request> base = make_request_stream(plain);
+  const std::vector<Request> mix = make_request_stream(shifted);
+  const std::vector<Request> explicit_sdsc = make_request_stream(named);
+
+  ASSERT_EQ(mix.size(), explicit_sdsc.size());
+  for (std::size_t i = 0; i < mix.size(); ++i) {
+    EXPECT_EQ(encode_request(mix[i]), encode_request(explicit_sdsc[i]))
+        << "request " << i;
+  }
+  std::size_t cut = 0;
+  for (; cut < mix.size() && mix[cut].submit_time < 40000.0; ++cut) {
+    EXPECT_EQ(mix[cut].submit_time, base[cut].submit_time) << cut;
+    EXPECT_EQ(mix[cut].procs, base[cut].procs) << cut;
+    EXPECT_EQ(mix[cut].runtime, base[cut].runtime) << cut;
+    EXPECT_EQ(mix[cut].estimate, base[cut].estimate) << cut;
+    EXPECT_EQ(mix[cut].tenant, 0u) << cut;
+  }
+  EXPECT_GT(cut, 10u) << "the switch lands inside the SDSC phase";
+  ASSERT_LT(cut, mix.size());
+  EXPECT_GT(mix[cut].tenant, 0u) << "phase b is the tenant-stamped zipf mix";
+}
+
 TEST(AdmissionEngineTest, QueueFullYieldsBusyAndDrainAnswersEverything) {
   EngineConfig config;
   config.queue_capacity = 8;

@@ -52,17 +52,15 @@ using namespace utilrisk;
 std::vector<workload::Job> make_trace(const std::string& generator,
                                       std::uint32_t jobs,
                                       std::uint64_t seed) {
-  // A registered method name or "name:key=value,..." spec routes through
-  // the generator registry with --jobs/--seed injected as spec defaults;
-  // anything else is treated as an SWF file path.
+  // A workload method name or "name:key=value,..." spec generates with
+  // --jobs/--seed injected as spec defaults; anything else is treated as
+  // an SWF file path.
   const std::string head = generator.substr(0, generator.find(':'));
   for (const workload::GeneratorMethod& method :
        workload::registered_generators()) {
     if (method.name == head) {
-      workload::GeneratorSpec spec = workload::GeneratorSpec::parse(generator);
-      spec.set_default("jobs", std::to_string(jobs));
-      spec.set_default("seed", std::to_string(seed));
-      return workload::generate_jobs(spec);
+      return workload::generate_jobs(workload::GeneratorSpec::parse(generator),
+                                     jobs, seed);
     }
   }
   workload::SwfLoadOptions options;
