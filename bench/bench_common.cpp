@@ -57,8 +57,8 @@ std::string slugify(const std::string& title) {
 
 exp::SweepResult run_sweep(const BenchEnv& env, economy::EconomicModel model,
                            exp::ExperimentSet set, exp::ResultStore& store) {
-  exp::ParallelRunner runner(make_config(env, model, set), &store,
-                             env.workers);
+  exp::ExperimentRunner runner(make_config(env, model, set), &store,
+                               env.workers);
   const exp::SweepResult sweep = runner.run_sweep();
   const exp::SweepStats& stats = runner.stats();
   std::cout << "[sweep " << economy::to_string(model) << "/Set "

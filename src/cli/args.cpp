@@ -130,15 +130,23 @@ double ArgParser::get_double(const std::string& name) const {
   return value;
 }
 
-long ArgParser::get_int(const std::string& name) const {
+long ArgParser::get_int(const std::string& name, long min, long max) const {
   const std::string text = get(name);
   long value = 0;
   const char* begin = text.data();
   const char* end = begin + text.size();
   auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end) {
+  const bool overflow = ec == std::errc::result_out_of_range;
+  if (ptr != end || (ec != std::errc{} && !overflow)) {
     throw ArgError("option --" + name + ": '" + text +
                    "' is not an integer");
+  }
+  if (overflow || value < min || value > max) {
+    throw ArgError("option --" + name + ": " + text + " is out of range " +
+                   (max == std::numeric_limits<long>::max()
+                        ? "(must be >= " + std::to_string(min) + ")"
+                        : "[" + std::to_string(min) + ", " +
+                              std::to_string(max) + "]"));
   }
   return value;
 }

@@ -5,6 +5,7 @@
 // validation, and generated usage text. No external dependencies.
 #pragma once
 
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -58,7 +59,13 @@ class ArgParser {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
-  [[nodiscard]] long get_int(const std::string& name) const;
+  /// The option as an integer in [min, max]; anything else (not an
+  /// integer, or out of range) is an ArgError naming the option and its
+  /// range. Every integer option states its range here, so a negative or
+  /// oversized value cannot wrap around in an unsigned or narrower field.
+  [[nodiscard]] long get_int(
+      const std::string& name, long min,
+      long max = std::numeric_limits<long>::max()) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
   [[nodiscard]] std::optional<std::string> positional_value(
       const std::string& name) const;

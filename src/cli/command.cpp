@@ -77,8 +77,7 @@ int CommandRegistry::run_command(const Command& command,
   CommandContext context{parser, metrics, manifest};
   context.log_level = sim::parse_log_level(parser.get("log-level"));
   if (command.uses_workers) {
-    const long workers = parser.get_int("workers");
-    if (workers < 0) throw ArgError("--workers must be >= 0");
+    const long workers = parser.get_int("workers", 0);
     context.workers = workers == 0 ? exp::default_worker_count()
                                    : static_cast<std::size_t>(workers);
   }

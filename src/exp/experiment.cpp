@@ -1,11 +1,14 @@
 #include "exp/experiment.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <unordered_map>
 
-#include "exp/parallel.hpp"
+#include "obs/metrics.hpp"
+#include "obs/progress.hpp"
 #include "service/computing_service.hpp"
 #include "workload/generator.hpp"
 
@@ -17,6 +20,23 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+/// Normalises scenario `s`'s raw values per objective across policies,
+/// then reduces them to separate risk (eqns 5-6) per policy, writing
+/// result.separate[s].
+void reduce_scenario(SweepResult& result, std::size_t s,
+                     const core::NormalizationConfig& normalization) {
+  const std::size_t policies = result.policies.size();
+  result.separate[s].resize(policies);
+  for (core::Objective objective : core::kAllObjectives) {
+    const auto o = static_cast<std::size_t>(objective);
+    const auto normalized =
+        core::normalize_objective(objective, result.raw[s][o], normalization);
+    for (std::size_t p = 0; p < policies; ++p) {
+      result.separate[s][p][o] = core::separate_risk(normalized[p]);
+    }
+  }
 }
 
 }  // namespace
@@ -106,27 +126,6 @@ bool bit_identical(const SweepResult& a, const SweepResult& b) {
   return true;
 }
 
-void SweepStats::accumulate(const SweepStats& other) {
-  simulations += other.simulations;
-  events += other.events;
-  wall_seconds += other.wall_seconds;
-  cache_hits += other.cache_hits;
-  deduped += other.deduped;
-  runs.insert(runs.end(), other.runs.begin(), other.runs.end());
-}
-
-core::ObjectiveValues simulate_run(const ExperimentConfig& config,
-                                   const workload::WorkloadBuilder& builder,
-                                   policy::PolicyKind policy,
-                                   const RunSettings& settings,
-                                   std::uint64_t* events_out,
-                                   obs::MetricsRegistry* metrics) {
-  const service::SimulationReport report =
-      simulate_run_report(config, builder, policy, settings, metrics);
-  if (events_out != nullptr) *events_out += report.events_dispatched;
-  return report.objectives;
-}
-
 service::SimulationReport simulate_run_report(
     const ExperimentConfig& config, const workload::WorkloadBuilder& builder,
     policy::PolicyKind policy, const RunSettings& settings,
@@ -164,20 +163,26 @@ service::SimulationReport simulate_run_report(
   return service::simulate(jobs, service::factory_for(policy), context);
 }
 
-void reduce_scenario(SweepResult& result, std::size_t s,
-                     const core::NormalizationConfig& normalization) {
-  // Normalise per objective across policies, then reduce to separate
-  // risk (eqns 5-6) per policy.
-  const std::size_t policies = result.policies.size();
-  result.separate[s].resize(policies);
-  for (core::Objective objective : core::kAllObjectives) {
-    const auto o = static_cast<std::size_t>(objective);
-    const auto normalized =
-        core::normalize_objective(objective, result.raw[s][o], normalization);
-    for (std::size_t p = 0; p < policies; ++p) {
-      result.separate[s][p][o] = core::separate_risk(normalized[p]);
+RunMatrix enumerate_runs(const ExperimentConfig& config,
+                         const std::vector<Scenario>& scenarios,
+                         const RunSettings& defaults,
+                         const std::vector<policy::PolicyKind>& policies) {
+  RunMatrix matrix;
+  std::unordered_map<std::string, std::size_t> by_key;
+  for (const Scenario& scenario : scenarios) {
+    for (policy::PolicyKind policy : policies) {
+      for (std::size_t v = 0; v < scenario.values.size(); ++v) {
+        RunSettings settings = scenario.settings_for(defaults, v);
+        std::string key = config.run_key(policy, settings);
+        const auto [it, first] = by_key.try_emplace(key, matrix.runs.size());
+        if (first) {
+          matrix.runs.push_back({std::move(key), policy, std::move(settings)});
+        }
+        matrix.cells.push_back(it->second);
+      }
     }
   }
+  return matrix;
 }
 
 ExperimentRunner::ExperimentRunner(ExperimentConfig config, ResultStore* store,
@@ -185,27 +190,103 @@ ExperimentRunner::ExperimentRunner(ExperimentConfig config, ResultStore* store,
     : config_(std::move(config)),
       builder_(config_.make_builder()),
       store_(store != nullptr ? store : &local_store_),
-      workers_(workers == 0 ? default_worker_count() : workers) {}
+      pool_(workers == 0 ? default_worker_count() : workers) {}
+
+std::vector<core::ObjectiveValues> ExperimentRunner::execute(
+    const RunMatrix& matrix) {
+  std::vector<core::ObjectiveValues> values(matrix.runs.size());
+  std::vector<bool> stored(matrix.runs.size(), false);
+  std::vector<std::size_t> misses;
+  for (std::size_t r = 0; r < matrix.runs.size(); ++r) {
+    if (auto cached = store_->lookup(matrix.runs[r].key)) {
+      values[r] = *cached;
+      stored[r] = true;
+    } else {
+      misses.push_back(r);
+    }
+  }
+  std::size_t cache_hits = 0;
+  for (std::size_t run : matrix.cells) {
+    if (stored[run]) ++cache_hits;
+  }
+  const std::size_t deduped = matrix.cells.size() - cache_hits - misses.size();
+
+  // Executor instruments (all null when no enabled registry is attached):
+  // the histograms are shared across workers, the run counter is per
+  // worker so load imbalance shows in the snapshot.
+  obs::Histogram* run_wall_hist = obs::histogram_or_null(
+      metrics_, "exp.run_wall_seconds", obs::default_time_buckets());
+  obs::Histogram* queue_wait_hist = obs::histogram_or_null(
+      metrics_, "exp.task_queue_wait_seconds", obs::default_time_buckets());
+  if (obs::Counter* c = obs::counter_or_null(metrics_, "exp.cache_hits")) {
+    c->inc(cache_hits);
+  }
+  if (obs::Counter* c = obs::counter_or_null(metrics_, "exp.deduped")) {
+    c->inc(deduped);
+  }
+  if (obs::Counter* c = obs::counter_or_null(metrics_, "exp.cache_misses")) {
+    c->inc(misses.size());
+  }
+  std::vector<obs::Counter*> worker_runs(
+      std::min(pool_.worker_count(), misses.size()));
+  for (std::size_t w = 0; w < worker_runs.size(); ++w) {
+    worker_runs[w] = obs::counter_or_null(
+        metrics_, "exp.worker." + std::to_string(w) + ".runs");
+  }
+
+  std::vector<RunTiming> timings(misses.size());
+  const auto region_start = std::chrono::steady_clock::now();
+  const auto simulate_miss = [&](std::size_t worker, std::size_t i) {
+    const MatrixRun& run = matrix.runs[misses[i]];
+    const auto start = std::chrono::steady_clock::now();
+    if (queue_wait_hist != nullptr) {
+      // Time the run waited before a worker picked it up, measured from
+      // the fan-out instant.
+      queue_wait_hist->observe(
+          std::chrono::duration<double>(start - region_start).count());
+    }
+    const service::SimulationReport report = simulate_run_report(
+        config_, builder_, run.policy, run.settings, metrics_);
+    values[misses[i]] = report.objectives;
+    timings[i] = {run.key, seconds_since(start), report.events_dispatched};
+    store_->insert(run.key, report.objectives);
+    if (run_wall_hist != nullptr) {
+      run_wall_hist->observe(timings[i].wall_seconds);
+    }
+    if (worker_runs[worker] != nullptr) worker_runs[worker]->inc();
+    if (progress_ != nullptr) progress_->note_done();
+  };
+  if (!misses.empty()) {
+    if (progress_ != nullptr) {
+      progress_->begin(misses.size(), pool_.worker_count(),
+                       [this] { return pool_.active_count(); });
+    }
+    try {
+      parallel_for_index(pool_, misses.size(), simulate_miss);
+    } catch (...) {
+      // The reporter thread samples the pool; stop it before unwinding.
+      if (progress_ != nullptr) progress_->end();
+      throw;
+    }
+    if (progress_ != nullptr) progress_->end();
+  }
+  stats_.simulations += misses.size();
+  stats_.cache_hits += cache_hits;
+  stats_.deduped += deduped;
+  stats_.wall_seconds += seconds_since(region_start);
+  for (RunTiming& timing : timings) {
+    stats_.events += timing.events;
+    stats_.runs.push_back(std::move(timing));
+  }
+  return values;
+}
 
 core::ObjectiveValues ExperimentRunner::run_one(policy::PolicyKind policy,
                                                 const RunSettings& settings) {
-  const std::string key = config_.run_key(policy, settings);
-  if (auto cached = store_->lookup(key)) {
-    ++stats_.cache_hits;
-    return *cached;
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  std::uint64_t events = 0;
-  const core::ObjectiveValues values =
-      simulate_run(config_, builder_, policy, settings, &events);
-  const double elapsed = seconds_since(start);
-  ++stats_.simulations;
-  stats_.events += events;
-  stats_.wall_seconds += elapsed;
-  stats_.runs.push_back({key, elapsed, events});
-  store_->insert(key, values);
-  return values;
+  RunMatrix matrix;
+  matrix.runs.push_back({config_.run_key(policy, settings), policy, settings});
+  matrix.cells.push_back(0);
+  return execute(matrix).front();
 }
 
 SweepResult ExperimentRunner::run_sweep() {
@@ -221,40 +302,34 @@ SweepResult ExperimentRunner::run_sweep(
 SweepResult ExperimentRunner::run_scenarios(
     const std::vector<Scenario>& scenarios, const RunSettings& defaults,
     const std::vector<policy::PolicyKind>& policies) {
-  if (workers_ > 1) {
-    SweepStats stats;
-    SweepResult result = run_scenarios_parallel(
-        config_, *store_, scenarios, defaults, policies, workers_, &stats);
-    stats_.accumulate(stats);
-    return result;
-  }
+  const RunMatrix matrix =
+      enumerate_runs(config_, scenarios, defaults, policies);
+  const std::vector<core::ObjectiveValues> values = execute(matrix);
 
+  // Scatter each cell's run into raw[s][o][p][v] and reduce, in the
+  // matrix order enumerate_runs walked.
   SweepResult result;
   result.policies = policies;
   result.scenario_names.reserve(scenarios.size());
   result.raw.resize(scenarios.size());
   result.separate.resize(scenarios.size());
-
+  std::size_t cell = 0;
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
     const Scenario& scenario = scenarios[s];
     result.scenario_names.push_back(scenario.name);
-
-    // Collect raw values: raw[o][p][v].
     for (auto& per_objective : result.raw[s]) {
       per_objective.assign(policies.size(),
                            std::vector<double>(scenario.values.size(), 0.0));
     }
     for (std::size_t p = 0; p < policies.size(); ++p) {
       for (std::size_t v = 0; v < scenario.values.size(); ++v) {
-        const RunSettings settings = scenario.settings_for(defaults, v);
-        const core::ObjectiveValues values = run_one(policies[p], settings);
+        const core::ObjectiveValues& run = values[matrix.cells[cell++]];
         for (core::Objective objective : core::kAllObjectives) {
           result.raw[s][static_cast<std::size_t>(objective)][p][v] =
-              values.get(objective);
+              run.get(objective);
         }
       }
     }
-
     reduce_scenario(result, s, config_.normalization);
   }
   return result;

@@ -15,6 +15,7 @@
 #include "core/objectives.hpp"
 #include "core/separate_risk.hpp"
 #include "economy/money.hpp"
+#include "exp/parallel.hpp"
 #include "exp/result_store.hpp"
 #include "exp/scenario.hpp"
 #include "policy/factory.hpp"
@@ -22,6 +23,7 @@
 
 namespace utilrisk::obs {
 class MetricsRegistry;
+class ProgressReporter;
 }  // namespace utilrisk::obs
 
 namespace utilrisk::service {
@@ -62,8 +64,8 @@ struct ExperimentConfig {
   /// The base-trace builder this config describes: the `workload` spec
   /// when set, else the synthetic SDSC config (the same
   /// generate_synthetic_sdsc the `sdsc` method calls). Every consumer of
-  /// the base trace — serial runner, parallel workers, golden-replay
-  /// harness — goes through here so they cannot drift.
+  /// the base trace — the sweep executor and the golden-replay harness —
+  /// goes through here so they cannot drift.
   [[nodiscard]] workload::WorkloadBuilder make_builder() const;
 
   /// Canonical cache key of one run under this config.
@@ -92,10 +94,34 @@ struct SweepResult {
 /// analysis.
 void write_sweep_csv(std::ostream& out, const SweepResult& sweep);
 
-/// Exact (bit-level, no tolerance) equality of two sweeps — the parallel
-/// executor's contract is bit-identity with the serial path, so nothing
+/// Exact (bit-level, no tolerance) equality of two sweeps — the
+/// executor's contract is bit-identity at every worker count, so nothing
 /// weaker than == on every double is acceptable here.
 [[nodiscard]] bool bit_identical(const SweepResult& a, const SweepResult& b);
+
+/// One distinct run of a run matrix.
+struct MatrixRun {
+  std::string key;  ///< ExperimentConfig::run_key of the run
+  policy::PolicyKind policy{};
+  RunSettings settings;
+};
+
+/// A (scenario, policy, value) run matrix after deduplication by run key.
+struct RunMatrix {
+  /// The distinct runs, in the matrix order of their first cell.
+  std::vector<MatrixRun> runs;
+  /// For each cell in matrix order (scenario, then policy, then value),
+  /// the index into `runs` of the run it reads.
+  std::vector<std::size_t> cells;
+};
+
+/// Lists the distinct runs of `scenarios` x `policies` x each scenario's
+/// values over `defaults` — the one enumeration of the matrix that the
+/// sweep executor and the golden-digest harness share.
+[[nodiscard]] RunMatrix enumerate_runs(
+    const ExperimentConfig& config, const std::vector<Scenario>& scenarios,
+    const RunSettings& defaults,
+    const std::vector<policy::PolicyKind>& policies);
 
 /// Diagnostics of one executed (cache-missing) simulation run.
 struct RunTiming {
@@ -105,52 +131,39 @@ struct RunTiming {
 };
 
 /// Timing/dedup counters of a sweep, accumulated across sweeps of one
-/// runner. Shared by the serial and parallel executors.
+/// runner. Every matrix cell is counted exactly once:
+/// cells = simulations + deduped + cache_hits, at any worker count.
 struct SweepStats {
   std::size_t simulations = 0;   ///< runs actually executed (cache misses)
   std::uint64_t events = 0;      ///< kernel events across those runs
   double wall_seconds = 0.0;     ///< wall clock of the execution region
-  std::size_t cache_hits = 0;    ///< matrix cells served by the store
-  std::size_t deduped = 0;       ///< cells coalesced onto an in-flight run
+  std::size_t cache_hits = 0;    ///< cells whose run the store held
+  std::size_t deduped = 0;       ///< further cells reading a simulated run
   std::vector<RunTiming> runs;   ///< per executed run, deterministic order
-
-  void accumulate(const SweepStats& other);
 };
 
-/// One uncached simulation under `config`: builds the run's job stream
-/// from `builder` (parallel workers own one each so the single-threaded
-/// kernel is untouched), simulates, and returns the objectives. If
-/// `events_out` is non-null it receives the events dispatched. A non-null
-/// `metrics` registry is injected into the run (kernel `sim.*` and
-/// `service.*` instruments). Exposed so the serial and parallel paths
-/// share one definition of "a run".
-[[nodiscard]] core::ObjectiveValues simulate_run(
-    const ExperimentConfig& config, const workload::WorkloadBuilder& builder,
-    policy::PolicyKind policy, const RunSettings& settings,
-    std::uint64_t* events_out = nullptr,
-    obs::MetricsRegistry* metrics = nullptr);
-
-/// The same run, returning the full report (per-job SLA records, ledger
-/// snapshot, canonical digest) instead of just the objectives — the
-/// substrate of simulate_run and of the replay/golden-digest harness
-/// (verify/golden.hpp).
+/// One uncached simulation under `config`, returning the full report
+/// (per-job SLA records, ledger snapshot, canonical digest): builds the
+/// run's job stream from `builder`, simulates, and reports. `builder` is
+/// only read (build() copies its base trace), so concurrent runs share
+/// one. A non-null `metrics` registry is injected into the run (kernel
+/// `sim.*` and `service.*` instruments). The substrate of the sweep
+/// executor and of the replay/golden-digest harness (verify/golden.hpp).
 [[nodiscard]] service::SimulationReport simulate_run_report(
     const ExperimentConfig& config, const workload::WorkloadBuilder& builder,
     policy::PolicyKind policy, const RunSettings& settings,
     obs::MetricsRegistry* metrics = nullptr);
 
-/// Normalises scenario `s`'s raw values and reduces them to separate risk
-/// (eqns 5-6), writing result.separate[s]. One definition shared by the
-/// serial and parallel paths keeps them bit-identical by construction.
-void reduce_scenario(SweepResult& result, std::size_t s,
-                     const core::NormalizationConfig& normalization);
-
+/// The run-matrix executor. A sweep enumerates its matrix
+/// (enumerate_runs), serves the runs the store holds, simulates each
+/// miss once across a persistent ThreadPool (exp/parallel.hpp) in which
+/// every worker reads the runner's one base-trace builder, then reduces
+/// in matrix order. Results are bit-identical at every worker count.
 class ExperimentRunner {
  public:
   /// `store` (optional) memoises runs across runners and processes.
-  /// `workers` > 1 fans sweep cells out across a thread pool
-  /// (exp/parallel.hpp) with bit-identical results; 0 resolves to
-  /// REPRO_JOBS_PAR / hardware_concurrency(), 1 forces the serial path.
+  /// `workers` sizes the pool; 0 resolves to REPRO_JOBS_PAR /
+  /// hardware_concurrency().
   explicit ExperimentRunner(ExperimentConfig config,
                             ResultStore* store = nullptr,
                             std::size_t workers = 0);
@@ -174,29 +187,47 @@ class ExperimentRunner {
       const std::vector<policy::PolicyKind>& policies);
 
   [[nodiscard]] const ExperimentConfig& config() const { return config_; }
-  [[nodiscard]] const workload::WorkloadBuilder& workloads() const {
-    return builder_;
-  }
 
   /// Total simulations actually executed (cache misses).
   [[nodiscard]] std::size_t simulations_run() const {
     return stats_.simulations;
   }
 
-  /// Worker threads used by run_sweep/run_scenarios (1 = serial).
-  [[nodiscard]] std::size_t worker_count() const { return workers_; }
+  /// Pool threads that execute the runs.
+  [[nodiscard]] std::size_t worker_count() const {
+    return pool_.worker_count();
+  }
 
   /// Per-run wall-clock and events-processed counters, accumulated across
   /// run_one/run_sweep/run_scenarios calls.
   [[nodiscard]] const SweepStats& stats() const { return stats_; }
 
+  /// Attach observability to subsequent runs; nullptr detaches, and the
+  /// runner never owns the objects. The registry receives the `exp.*`
+  /// executor instruments and is injected into every executed run
+  /// (`sim.*` / `service.*`); the reporter prints completed/total/ETA
+  /// lines while runs execute.
+  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  void set_progress(obs::ProgressReporter* progress) {
+    progress_ = progress;
+  }
+
  private:
+  /// The objective values of every run of `matrix`: store hits served,
+  /// misses simulated once each across the pool and stored.
+  std::vector<core::ObjectiveValues> execute(const RunMatrix& matrix);
+
   ExperimentConfig config_;
   workload::WorkloadBuilder builder_;
   ResultStore* store_;
   ResultStore local_store_;  ///< used when no shared store is given
-  std::size_t workers_;
   SweepStats stats_;
+  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::ProgressReporter* progress_ = nullptr;
+  ThreadPool pool_;  ///< last member: joins before the store dies
 };
+
+/// The runner's former name, still used by bench/e2e/sweep.cpp.
+using ParallelRunner = ExperimentRunner;
 
 }  // namespace utilrisk::exp

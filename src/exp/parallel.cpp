@@ -1,28 +1,12 @@
 #include "exp/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <exception>
-#include <string>
-#include <unordered_map>
 #include <utility>
 
-#include "obs/metrics.hpp"
-#include "obs/progress.hpp"
-#include "workload/workload.hpp"
-
 namespace utilrisk::exp {
-
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-}  // namespace
 
 std::size_t default_worker_count() {
   if (const char* env = std::getenv("REPRO_JOBS_PAR")) {
@@ -78,245 +62,30 @@ void ThreadPool::worker_loop(std::stop_token stop) {
   }
 }
 
-void parallel_for_index(ThreadPool& pool, std::size_t count,
-                        const std::function<void(std::size_t)>& fn) {
+void parallel_for_index(
+    ThreadPool& pool, std::size_t count,
+    const std::function<void(std::size_t worker, std::size_t index)>& fn) {
   if (count == 0) return;
-  auto next = std::make_shared<std::atomic<std::size_t>>(0);
-  auto error_mutex = std::make_shared<std::mutex>();
-  auto first_error = std::make_shared<std::exception_ptr>();
-  const std::size_t shards = std::min(pool.worker_count(), count);
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    pool.submit([next, error_mutex, first_error, count, &fn] {
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  const std::size_t workers = std::min(pool.worker_count(), count);
+  for (std::size_t worker = 0; worker < workers; ++worker) {
+    pool.submit([&, worker] {
       for (;;) {
-        const std::size_t i = next->fetch_add(1, std::memory_order_relaxed);
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= count) return;
         try {
-          fn(i);
-        } catch (...) {
-          std::lock_guard lock(*error_mutex);
-          if (!*first_error) *first_error = std::current_exception();
-        }
-      }
-    });
-  }
-  pool.wait_idle();
-  if (*first_error) std::rethrow_exception(*first_error);
-}
-
-// ------------------------------------------------- parallel sweep executor
-
-namespace {
-
-/// How one matrix cell obtains its objective values.
-struct CellSource {
-  enum class Kind { FromStore, FromJob } kind = Kind::FromJob;
-  std::size_t index = 0;  ///< into `resolved` or `jobs`
-};
-
-/// One deduplicated simulation to execute (a cache miss).
-struct UniqueJob {
-  std::string key;
-  policy::PolicyKind policy{};
-  RunSettings settings;
-};
-
-}  // namespace
-
-SweepResult run_scenarios_parallel(
-    const ExperimentConfig& config, ResultStore& store,
-    const std::vector<Scenario>& scenarios, const RunSettings& defaults,
-    const std::vector<policy::PolicyKind>& policies, ThreadPool& pool,
-    SweepStats* stats, const SweepHooks& hooks) {
-  SweepResult result;
-  result.policies = policies;
-  result.scenario_names.reserve(scenarios.size());
-  result.raw.resize(scenarios.size());
-  result.separate.resize(scenarios.size());
-  for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    result.scenario_names.push_back(scenarios[s].name);
-    for (auto& per_objective : result.raw[s]) {
-      per_objective.assign(
-          policies.size(),
-          std::vector<double>(scenarios[s].values.size(), 0.0));
-    }
-  }
-
-  // Phase 1 (serial, deterministic order): enumerate the run matrix,
-  // resolve cells against the store, and dedupe the misses by cache key —
-  // in-flight dedup: a key occurring in several cells is simulated once.
-  std::vector<CellSource> cells;
-  std::vector<core::ObjectiveValues> resolved;
-  std::vector<UniqueJob> jobs;
-  std::unordered_map<std::string, CellSource> by_key;
-  SweepStats local;
-  for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    for (std::size_t p = 0; p < policies.size(); ++p) {
-      for (std::size_t v = 0; v < scenarios[s].values.size(); ++v) {
-        RunSettings settings = scenarios[s].settings_for(defaults, v);
-        std::string key = config.run_key(policies[p], settings);
-        if (auto it = by_key.find(key); it != by_key.end()) {
-          if (it->second.kind == CellSource::Kind::FromJob) {
-            ++local.deduped;  // coalesced onto an in-flight run
-          } else {
-            ++local.cache_hits;
-          }
-          cells.push_back(it->second);
-          continue;
-        }
-        CellSource source;
-        if (auto cached = store.lookup(key)) {
-          source = {CellSource::Kind::FromStore, resolved.size()};
-          resolved.push_back(*cached);
-          ++local.cache_hits;
-          by_key.emplace(std::move(key), source);
-        } else {
-          source = {CellSource::Kind::FromJob, jobs.size()};
-          by_key.emplace(key, source);
-          jobs.push_back({std::move(key), policies[p], std::move(settings)});
-        }
-        cells.push_back(source);
-      }
-    }
-  }
-
-  // Phase 2: fan the unique cache misses out across the pool. Each worker
-  // shard owns its own WorkloadBuilder (and thus its own simulator per
-  // run), so the single-threaded kernel contract holds; results land at
-  // their job index, never shared between workers.
-  std::vector<core::ObjectiveValues> job_values(jobs.size());
-  std::vector<RunTiming> timings(jobs.size());
-  std::atomic<std::uint64_t> total_events{0};
-  // Executor instruments (all null when no enabled registry is hooked):
-  // run/queue-wait histograms are shared across workers, the run counter
-  // is per worker shard so load imbalance is visible in the snapshot.
-  obs::MetricsRegistry* registry = hooks.metrics;
-  obs::Histogram* run_wall_hist = obs::histogram_or_null(
-      registry, "exp.run_wall_seconds", obs::default_time_buckets());
-  obs::Histogram* queue_wait_hist = obs::histogram_or_null(
-      registry, "exp.task_queue_wait_seconds", obs::default_time_buckets());
-  if (obs::Counter* c = obs::counter_or_null(registry, "exp.cache_hits")) {
-    c->inc(local.cache_hits);
-  }
-  if (obs::Counter* c = obs::counter_or_null(registry, "exp.deduped")) {
-    c->inc(local.deduped);
-  }
-  if (obs::Counter* c = obs::counter_or_null(registry, "exp.cache_misses")) {
-    c->inc(jobs.size());
-  }
-  const auto region_start = std::chrono::steady_clock::now();
-  if (!jobs.empty()) {
-    if (hooks.progress != nullptr) {
-      hooks.progress->begin(jobs.size(), pool.worker_count(),
-                            [&pool] { return pool.active_count(); });
-    }
-    std::atomic<std::size_t> next{0};
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
-    const std::size_t shards = std::min(pool.worker_count(), jobs.size());
-    for (std::size_t shard = 0; shard < shards; ++shard) {
-      obs::Counter* shard_runs = obs::counter_or_null(
-          registry, "exp.worker." + std::to_string(shard) + ".runs");
-      pool.submit([&, shard_runs] {
-        try {
-          const workload::WorkloadBuilder builder = config.make_builder();
-          for (;;) {
-            const std::size_t j =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (j >= jobs.size()) return;
-            const auto start = std::chrono::steady_clock::now();
-            if (queue_wait_hist != nullptr) {
-              // Time this task spent enqueued before a worker picked it
-              // up, approximated from the fan-out instant.
-              queue_wait_hist->observe(
-                  std::chrono::duration<double>(start - region_start)
-                      .count());
-            }
-            std::uint64_t events = 0;
-            job_values[j] = simulate_run(config, builder, jobs[j].policy,
-                                         jobs[j].settings, &events, registry);
-            timings[j] = {jobs[j].key, seconds_since(start), events};
-            total_events.fetch_add(events, std::memory_order_relaxed);
-            store.insert(jobs[j].key, job_values[j]);
-            if (run_wall_hist != nullptr) {
-              run_wall_hist->observe(timings[j].wall_seconds);
-            }
-            if (shard_runs != nullptr) shard_runs->inc();
-            if (hooks.progress != nullptr) hooks.progress->note_done();
-          }
+          fn(worker, i);
         } catch (...) {
           std::lock_guard lock(error_mutex);
           if (!first_error) first_error = std::current_exception();
         }
-      });
-    }
-    pool.wait_idle();  // barrier: reduction must see every result
-    // The reporter thread samples pool state; stop it before unwinding.
-    if (hooks.progress != nullptr) hooks.progress->end();
-    if (first_error) std::rethrow_exception(first_error);
-  }
-  local.simulations = jobs.size();
-  local.events = total_events.load();
-  local.wall_seconds = seconds_since(region_start);
-  local.runs = std::move(timings);
-
-  // Phase 3 (serial, deterministic order): scatter cell values back into
-  // the matrix and reduce — same code as the serial path, so the sweep is
-  // bit-identical to it.
-  std::size_t cell = 0;
-  for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    for (std::size_t p = 0; p < policies.size(); ++p) {
-      for (std::size_t v = 0; v < scenarios[s].values.size(); ++v) {
-        const CellSource& source = cells[cell++];
-        const core::ObjectiveValues& values =
-            source.kind == CellSource::Kind::FromStore
-                ? resolved[source.index]
-                : job_values[source.index];
-        for (core::Objective objective : core::kAllObjectives) {
-          result.raw[s][static_cast<std::size_t>(objective)][p][v] =
-              values.get(objective);
-        }
       }
-    }
-    reduce_scenario(result, s, config.normalization);
+    });
   }
-
-  if (stats != nullptr) stats->accumulate(local);
-  return result;
-}
-
-SweepResult run_scenarios_parallel(
-    const ExperimentConfig& config, ResultStore& store,
-    const std::vector<Scenario>& scenarios, const RunSettings& defaults,
-    const std::vector<policy::PolicyKind>& policies, std::size_t workers,
-    SweepStats* stats, const SweepHooks& hooks) {
-  ThreadPool pool(workers == 0 ? default_worker_count() : workers);
-  return run_scenarios_parallel(config, store, scenarios, defaults, policies,
-                                pool, stats, hooks);
-}
-
-// ---------------------------------------------------------- ParallelRunner
-
-ParallelRunner::ParallelRunner(ExperimentConfig config, ResultStore* store,
-                               std::size_t workers)
-    : config_(std::move(config)),
-      store_(store != nullptr ? store : &local_store_),
-      pool_(workers == 0 ? default_worker_count() : workers) {}
-
-SweepResult ParallelRunner::run_sweep() {
-  return run_sweep(policy::policies_for_model(config_.model));
-}
-
-SweepResult ParallelRunner::run_sweep(
-    const std::vector<policy::PolicyKind>& policies) {
-  return run_scenarios(all_scenarios(), config_.default_settings(),
-                       policies);
-}
-
-SweepResult ParallelRunner::run_scenarios(
-    const std::vector<Scenario>& scenarios, const RunSettings& defaults,
-    const std::vector<policy::PolicyKind>& policies) {
-  return run_scenarios_parallel(config_, *store_, scenarios, defaults,
-                                policies, pool_, &stats_, hooks_);
+  pool.wait_idle();  // barrier: the caller reads every result after this
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace utilrisk::exp

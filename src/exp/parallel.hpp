@@ -1,12 +1,13 @@
-// Parallel sweep executor: thread-pool fan-out of independent simulations.
+// Thread-pool fan-out of independent work items.
 //
 // Every figure of the paper reduces hundreds of *independent*
 // single-threaded simulation runs (scenario x policy x value x seed), so
 // the experiment layer — not the kernel — is where parallelism lives
-// (DESIGN.md §4 "threading model"): each worker owns its own
-// WorkloadBuilder and simulator, RNG seeding stays per-run, and the
-// reduction happens in deterministic task order after a barrier, so the
-// parallel path is bit-identical to the serial one.
+// (DESIGN.md §4 "threading model"). parallel_for_index is the one fan-out
+// loop: the run-matrix executor (exp::ExperimentRunner), the golden-digest
+// harness (verify::compute_golden) and exp::replicate all go through it,
+// at every worker count including 1. Results land at their index, so the
+// output never depends on the worker count or on scheduling.
 //
 // The worker count resolves, in order: explicit argument >
 // REPRO_JOBS_PAR env var > std::thread::hardware_concurrency().
@@ -20,14 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "exp/experiment.hpp"
-#include "exp/scenario.hpp"
-
-namespace utilrisk::obs {
-class MetricsRegistry;
-class ProgressReporter;
-}  // namespace utilrisk::obs
-
 namespace utilrisk::exp {
 
 /// REPRO_JOBS_PAR if set to a positive integer, else
@@ -35,7 +28,7 @@ namespace utilrisk::exp {
 [[nodiscard]] std::size_t default_worker_count();
 
 /// Fixed-size worker pool: std::jthread workers draining a mutex/condvar
-/// task queue. Tasks must not throw (the sweep executor catches and
+/// task queue. Tasks must not throw (parallel_for_index catches and
 /// re-throws after its barrier); submit() never blocks on task execution.
 class ThreadPool {
  public:
@@ -71,82 +64,13 @@ class ThreadPool {
   std::vector<std::jthread> workers_;  ///< last member: joins first
 };
 
-/// Runs fn(0..count-1) across the pool (each index exactly once, dynamic
-/// load balancing) and returns after all complete. The first exception
-/// thrown by any index is re-thrown here.
-void parallel_for_index(ThreadPool& pool, std::size_t count,
-                        const std::function<void(std::size_t)>& fn);
-
-/// Optional observability attachments for a parallel sweep. Both pointers
-/// may be null (the default): the sweep then runs exactly as before.
-struct SweepHooks {
-  /// Receives `exp.*` executor instruments (per-worker run counters,
-  /// run-wall and queue-wait histograms, cache hit/miss counters) and is
-  /// injected into every executed run (`sim.*` / `service.*`).
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Periodic completed/total/ETA lines while phase 2 executes.
-  obs::ProgressReporter* progress = nullptr;
-};
-
-/// The parallel twin of ExperimentRunner::run_scenarios: enumerates the
-/// (scenario, policy, value) run matrix in deterministic order, dedupes
-/// tasks by cache key (an in-flight key is simulated exactly once, however
-/// many cells request it), fans the cache misses out across the pool's
-/// workers, then reduces after a barrier. `stats` (optional) receives the
-/// per-run timing counters.
-[[nodiscard]] SweepResult run_scenarios_parallel(
-    const ExperimentConfig& config, ResultStore& store,
-    const std::vector<Scenario>& scenarios, const RunSettings& defaults,
-    const std::vector<policy::PolicyKind>& policies, ThreadPool& pool,
-    SweepStats* stats = nullptr, const SweepHooks& hooks = {});
-
-/// Convenience overload: a throwaway pool of `workers` threads.
-[[nodiscard]] SweepResult run_scenarios_parallel(
-    const ExperimentConfig& config, ResultStore& store,
-    const std::vector<Scenario>& scenarios, const RunSettings& defaults,
-    const std::vector<policy::PolicyKind>& policies, std::size_t workers,
-    SweepStats* stats = nullptr, const SweepHooks& hooks = {});
-
-/// Drop-in parallel ExperimentRunner with a persistent pool: same sweep
-/// API, bit-identical results, `stats()` exposing wall-clock/events/dedup
-/// counters of the last sweep.
-class ParallelRunner {
- public:
-  explicit ParallelRunner(ExperimentConfig config, ResultStore* store = nullptr,
-                          std::size_t workers = 0 /* 0 = default */);
-
-  [[nodiscard]] SweepResult run_sweep();
-  [[nodiscard]] SweepResult run_sweep(
-      const std::vector<policy::PolicyKind>& policies);
-  [[nodiscard]] SweepResult run_scenarios(
-      const std::vector<Scenario>& scenarios, const RunSettings& defaults,
-      const std::vector<policy::PolicyKind>& policies);
-
-  [[nodiscard]] const ExperimentConfig& config() const { return config_; }
-  [[nodiscard]] std::size_t worker_count() const {
-    return pool_.worker_count();
-  }
-  /// Simulations actually executed (cache misses) across all sweeps.
-  [[nodiscard]] std::size_t simulations_run() const {
-    return stats_.simulations;
-  }
-  /// Timing/dedup counters accumulated across all sweeps of this runner.
-  [[nodiscard]] const SweepStats& stats() const { return stats_; }
-
-  /// Attach observability to subsequent sweeps (see SweepHooks). Both
-  /// accept nullptr to detach; the runner never owns the objects.
-  void set_metrics(obs::MetricsRegistry* metrics) { hooks_.metrics = metrics; }
-  void set_progress(obs::ProgressReporter* progress) {
-    hooks_.progress = progress;
-  }
-
- private:
-  ExperimentConfig config_;
-  ResultStore* store_;
-  ResultStore local_store_;  ///< used when no shared store is given
-  SweepStats stats_;
-  SweepHooks hooks_;
-  ThreadPool pool_;  ///< last member: joins before the store dies
-};
+/// Runs fn(worker, index) for every index in 0..count-1 across the pool
+/// (each index exactly once, dynamic load balancing) and returns after
+/// all complete. `worker` is in [0, min(pool.worker_count(), count)) and
+/// names the pool task that ran the index, for per-worker accounting. The
+/// first exception thrown by any index is re-thrown here.
+void parallel_for_index(
+    ThreadPool& pool, std::size_t count,
+    const std::function<void(std::size_t worker, std::size_t index)>& fn);
 
 }  // namespace utilrisk::exp

@@ -49,10 +49,11 @@ ReplicationSummary replicate(const ReplicationConfig& config) {
   }
   // Each replicate builds its own trace, workload and simulator from its
   // seed alone (no shared RNG streams), so the seeds fan out across the
-  // pool; results land at their seed's index, keeping the summary
-  // bit-identical to the serial order.
+  // pool; results land at their seed's index, so the summary does not
+  // depend on the worker count.
   std::vector<core::ObjectiveValues> replicates(config.seeds.size());
-  const auto run_seed = [&config, &replicates](std::size_t i) {
+  const auto run_seed = [&config, &replicates](std::size_t /*worker*/,
+                                               std::size_t i) {
     const std::uint64_t seed = config.seeds[i];
     workload::SyntheticSdscConfig trace = config.trace;
     trace.seed = seed;
@@ -76,12 +77,8 @@ ReplicationSummary replicate(const ReplicationConfig& config) {
   };
   const std::size_t workers =
       config.workers == 0 ? default_worker_count() : config.workers;
-  if (workers > 1 && config.seeds.size() > 1) {
-    ThreadPool pool(std::min(workers, config.seeds.size()));
-    parallel_for_index(pool, config.seeds.size(), run_seed);
-  } else {
-    for (std::size_t i = 0; i < config.seeds.size(); ++i) run_seed(i);
-  }
+  ThreadPool pool(std::min(workers, config.seeds.size()));
+  parallel_for_index(pool, config.seeds.size(), run_seed);
   return summarize_replicates(std::move(replicates));
 }
 

@@ -53,15 +53,15 @@ struct ReplicationConfig {
   /// Independent seeds, one replicate each (>= 2 for an interval).
   std::vector<std::uint64_t> seeds = {42, 1001, 2002, 3003, 4004};
   /// Worker threads fanning the seeds out (exp/parallel.hpp); 0 resolves
-  /// to REPRO_JOBS_PAR / hardware_concurrency(), 1 forces serial.
+  /// to REPRO_JOBS_PAR / hardware_concurrency().
   std::size_t workers = 0;
 };
 
 /// Runs one simulation per seed (trace seed = s, QoS seed = s * 31 + 7)
-/// and reduces. Replicates are fully independent (each worker owns its
+/// and reduces. Replicates are fully independent (each builds its own
 /// trace, builder and simulator), so they fan out across config.workers
-/// threads; the replicate order — and thus the summary — is identical to
-/// the serial path. Throws std::invalid_argument on fewer than 2 seeds.
+/// threads; the replicate order — and thus the summary — is the same at
+/// every worker count. Throws std::invalid_argument on fewer than 2 seeds.
 [[nodiscard]] ReplicationSummary replicate(const ReplicationConfig& config);
 
 /// Reduces externally collected replicate values (exposed for tests and

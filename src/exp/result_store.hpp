@@ -7,7 +7,7 @@
 // reuse each other's simulations.
 //
 // Thread safety: lookup/insert/size may be called concurrently (the
-// parallel sweep executor in exp/parallel.hpp shares one store across
+// sweep executor, exp::ExperimentRunner, shares one store across its pool
 // workers). Reads take a shared lock; inserts take an exclusive lock and
 // perform the single-writer append + flush to the backing file while
 // holding it, so a crash can lose at most the record being written and

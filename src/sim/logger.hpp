@@ -1,7 +1,7 @@
 // Leveled trace logger, one per Simulator.
 //
-// Per-simulator rather than process-wide: the parallel sweep executor
-// runs one simulator per worker on a jthread pool, so a shared mutable
+// Per-simulator rather than process-wide: the sweep executor runs one
+// simulator per worker on a jthread pool, so a shared mutable
 // singleton would be a data race. Each Simulator owns a Logger; entities
 // reach it through simulator().logger() — usually via the UTILRISK_ELOG
 // sugar — so every run's trace is independently levelled and sinked.

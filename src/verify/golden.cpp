@@ -1,11 +1,9 @@
 #include "verify/golden.hpp"
 
-#include <atomic>
-#include <exception>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,12 +13,6 @@
 namespace utilrisk::verify {
 
 namespace {
-
-/// One unique run of the matrix (after run_key dedup).
-struct UniqueRun {
-  policy::PolicyKind policy{};
-  exp::RunSettings settings;
-};
 
 economy::EconomicModel parse_model_token(const std::string& token) {
   if (token == "commodity") return economy::EconomicModel::CommodityMarket;
@@ -80,72 +72,29 @@ std::uint64_t GoldenFile::combined() const {
 GoldenFile compute_golden(const GoldenConfig& golden_config,
                           std::size_t workers) {
   const exp::ExperimentConfig config = golden_config.experiment_config();
-  const exp::RunSettings defaults = config.default_settings();
-  const std::vector<policy::PolicyKind> policies =
-      policy::policies_for_model(config.model);
-
-  // Dedup the (scenario, policy, value) matrix by run key; the map keeps
-  // the entries sorted, which is the file's canonical order.
-  std::map<std::string, UniqueRun> unique;
-  for (const exp::Scenario& scenario : exp::all_scenarios()) {
-    for (policy::PolicyKind policy : policies) {
-      for (std::size_t v = 0; v < scenario.values.size(); ++v) {
-        exp::RunSettings settings = scenario.settings_for(defaults, v);
-        std::string key = config.run_key(policy, settings);
-        unique.emplace(std::move(key), UniqueRun{policy, std::move(settings)});
-      }
-    }
-  }
+  std::vector<exp::MatrixRun> runs =
+      exp::enumerate_runs(config, exp::all_scenarios(),
+                          config.default_settings(),
+                          policy::policies_for_model(config.model))
+          .runs;
+  // Sorted by key: the file's canonical order.
+  std::sort(runs.begin(), runs.end(),
+            [](const exp::MatrixRun& a, const exp::MatrixRun& b) {
+              return a.key < b.key;
+            });
 
   GoldenFile result;
   result.config = golden_config;
-  result.entries.reserve(unique.size());
-  std::vector<const UniqueRun*> runs;
-  runs.reserve(unique.size());
-  for (const auto& [key, run] : unique) {
-    result.entries.push_back({key, RunDigest{}});
-    runs.push_back(&run);
-  }
-
-  auto digest_one = [&config](const workload::WorkloadBuilder& builder,
-                              const UniqueRun& run) {
-    return run_digest(
-        exp::simulate_run_report(config, builder, run.policy, run.settings));
-  };
-
-  if (workers <= 1) {
-    const workload::WorkloadBuilder builder = config.make_builder();
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      result.entries[i].digest = digest_one(builder, *runs[i]);
-    }
-    return result;
-  }
-
-  // Same fan-out shape as the parallel sweep executor: each worker shard
-  // owns its own WorkloadBuilder, results land at their index, and the
-  // serial/parallel outputs are identical by construction.
-  exp::ThreadPool pool(workers);
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  const std::size_t shards = std::min(pool.worker_count(), runs.size());
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    pool.submit([&] {
-      try {
-        const workload::WorkloadBuilder builder = config.make_builder();
-        for (;;) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= runs.size()) return;
-          result.entries[i].digest = digest_one(builder, *runs[i]);
-        }
-      } catch (...) {
-        std::lock_guard lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  pool.wait_idle();
-  if (first_error) std::rethrow_exception(first_error);
+  result.entries.resize(runs.size());
+  const workload::WorkloadBuilder builder = config.make_builder();
+  exp::ThreadPool pool(workers == 0 ? exp::default_worker_count() : workers);
+  exp::parallel_for_index(
+      pool, runs.size(), [&](std::size_t /*worker*/, std::size_t i) {
+        const exp::MatrixRun& run = runs[i];
+        result.entries[i] = {
+            run.key, run_digest(exp::simulate_run_report(
+                         config, builder, run.policy, run.settings))};
+      });
   return result;
 }
 

@@ -11,8 +11,8 @@
 // Entries are sorted by run key and the trailer is the digest of the
 // entry list, so a golden file is itself canonical. Record with
 // `utilrisk replay --record <dir>`, check with `--check <dir>`; the check
-// recomputes every run (serial or fanned out over --workers, which must
-// not change a single bit) and names the first diverging record.
+// recomputes every run (fanned out over --workers, whose count must not
+// change a single bit) and names the first diverging record.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +56,10 @@ struct GoldenFile {
 };
 
 /// Simulates every unique run of the config's Table VI matrix (all
-/// scenarios x the model's Table V policies) and returns the digests.
-/// `workers` > 1 fans the runs out; the result is identical either way.
+/// scenarios x the model's Table V policies; exp::enumerate_runs) and
+/// returns the digests. The runs fan out over `workers` pool threads
+/// (0 = exp::default_worker_count()); the result is identical at any
+/// count.
 [[nodiscard]] GoldenFile compute_golden(const GoldenConfig& config,
                                         std::size_t workers = 1);
 
@@ -83,7 +85,7 @@ struct CheckReport {
                                        std::size_t workers = 1);
 
 /// Order-sensitive digest over a full SweepResult (raw values + separate
-/// risk) — the serial<->parallel bit-identity contract as one comparable
+/// risk) — the worker-count bit-identity contract as one comparable
 /// 64-bit value.
 [[nodiscard]] std::uint64_t sweep_digest(const exp::SweepResult& sweep);
 

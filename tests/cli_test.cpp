@@ -1,6 +1,9 @@
 // Tests for the command-line argument parser behind the utilrisk tool.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "cli/args.hpp"
 
 namespace utilrisk::cli {
@@ -20,7 +23,7 @@ TEST(ArgParserTest, DefaultsApplyWhenAbsent) {
   ArgParser parser = make_parser();
   parser.parse({"--needed", "v"});
   EXPECT_EQ(parser.get("jobs"), "100");
-  EXPECT_EQ(parser.get_int("jobs"), 100);
+  EXPECT_EQ(parser.get_int("jobs", 1), 100);
   EXPECT_EQ(parser.get("model"), "commodity");
   EXPECT_FALSE(parser.get_flag("verbose"));
   EXPECT_FALSE(parser.positional_value("input").has_value());
@@ -29,7 +32,7 @@ TEST(ArgParserTest, DefaultsApplyWhenAbsent) {
 TEST(ArgParserTest, ParsesSeparateAndInlineValues) {
   ArgParser parser = make_parser();
   parser.parse({"--needed", "v", "--jobs", "250", "--model=bid"});
-  EXPECT_EQ(parser.get_int("jobs"), 250);
+  EXPECT_EQ(parser.get_int("jobs", 1), 250);
   EXPECT_EQ(parser.get("model"), "bid");
   EXPECT_TRUE(parser.has("jobs"));
   EXPECT_FALSE(parser.has("verbose"));
@@ -107,11 +110,50 @@ TEST(ArgParserTest, DuplicateSingleValuedOptionIsAnError) {
 TEST(ArgParserTest, TypedAccessValidates) {
   ArgParser parser = make_parser();
   parser.parse({"--needed", "v", "--jobs", "12.5"});
-  EXPECT_THROW((void)parser.get_int("jobs"), ArgError);
+  EXPECT_THROW((void)parser.get_int("jobs", 1), ArgError);
   EXPECT_DOUBLE_EQ(parser.get_double("jobs"), 12.5);
   ArgParser parser2 = make_parser();
   parser2.parse({"--needed", "v", "--jobs", "abc"});
   EXPECT_THROW((void)parser2.get_double("jobs"), ArgError);
+}
+
+/// The ArgError message of get_int(name, min, max) on `value`, or "" when
+/// it does not throw.
+std::string int_error(const std::string& value, long min, long max) {
+  ArgParser parser = make_parser();
+  parser.parse({"--needed", "v", "--jobs", value});
+  try {
+    (void)parser.get_int("jobs", min, max);
+  } catch (const ArgError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ArgParserTest, IntegerRangeIsInclusive) {
+  EXPECT_EQ(int_error("1", 1, 65535), "");
+  EXPECT_EQ(int_error("65535", 1, 65535), "");
+  EXPECT_EQ(int_error("0", 0, 0), "");
+  EXPECT_EQ(int_error("-5", -10, -1), "");
+}
+
+TEST(ArgParserTest, OutOfRangeIntegerNamesTheOptionAndRange) {
+  EXPECT_EQ(int_error("-1", 1, 4294967295),
+            "option --jobs: -1 is out of range [1, 4294967295]");
+  EXPECT_EQ(int_error("70000", 0, 65535),
+            "option --jobs: 70000 is out of range [0, 65535]");
+  // Without an upper bound only the minimum is stated.
+  EXPECT_EQ(int_error("-1", 0, std::numeric_limits<long>::max()),
+            "option --jobs: -1 is out of range (must be >= 0)");
+}
+
+TEST(ArgParserTest, IntegerBeyondLongIsOutOfRangeNotWrapped) {
+  EXPECT_EQ(int_error("99999999999999999999", 0, 10),
+            "option --jobs: 99999999999999999999 is out of range [0, 10]");
+  EXPECT_EQ(int_error("-99999999999999999999", 0, 10),
+            "option --jobs: -99999999999999999999 is out of range [0, 10]");
+  EXPECT_EQ(int_error("12x", 0, 100), "option --jobs: '12x' is not an integer");
+  EXPECT_EQ(int_error("", 0, 100), "option --jobs: '' is not an integer");
 }
 
 TEST(ArgParserTest, UsageListsEverything) {

@@ -1,21 +1,28 @@
 // Tests for the observability layer: metric primitives under concurrent
-// update, histogram bucket edges, manifest round-trips and the progress
-// reporter's drain/shutdown behaviour. The concurrency tests here are the
-// ones the TSan CI job exercises with 8 threads.
+// update, histogram bucket edges, manifest round-trips, the progress
+// reporter's drain/shutdown behaviour and the metric inventory in
+// docs/OBSERVABILITY.md. The concurrency tests here are the ones the TSan
+// CI job exercises with 8 threads.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "exp/experiment.hpp"
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
+#include "serve/loadgen.hpp"
+#include "serve/shard.hpp"
 
 namespace utilrisk::obs {
 namespace {
@@ -328,6 +335,117 @@ TEST(ObsProgressTest, ConcurrentNoteDoneIsLossless) {
   for (auto& thread : threads) thread.join();
   reporter.end();
   EXPECT_EQ(reporter.completed(), kThreads * kPerThread);
+}
+
+// --- metric inventory ----------------------------------------------------
+
+/// Every name in the first column of the metric inventory table in
+/// docs/OBSERVABILITY.md.
+std::set<std::string> documented_metrics() {
+  std::ifstream in(std::string(UTILRISK_DOCS_DIR) + "/OBSERVABILITY.md");
+  EXPECT_TRUE(in) << "cannot read docs/OBSERVABILITY.md";
+  std::set<std::string> names;
+  bool in_section = false;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line == "### Metric inventory") {
+      in_section = true;
+    } else if (in_section && line.starts_with("#")) {
+      break;
+    } else if (in_section && line.starts_with("| `")) {
+      const std::string cell = line.substr(1, line.find('|', 1) - 1);
+      std::size_t open = cell.find('`');
+      while (open != std::string::npos) {
+        const std::size_t close = cell.find('`', open + 1);
+        names.insert(cell.substr(open + 1, close - open - 1));
+        open = cell.find('`', close + 1);
+      }
+    }
+  }
+  return names;
+}
+
+/// `name` with every all-digit dotted segment written `<i>`, as the
+/// inventory writes indexed names.
+std::string inventory_name(const std::string& name) {
+  std::string out;
+  std::istringstream segments(name);
+  std::string segment;
+  while (std::getline(segments, segment, '.')) {
+    if (!out.empty()) out += '.';
+    const bool index = !segment.empty() &&
+                       segment.find_first_not_of("0123456789") ==
+                           std::string::npos;
+    out += index ? "<i>" : segment;
+  }
+  return out;
+}
+
+TEST(MetricInventoryTest, DocTableListsExactlyTheRegisteredMetrics) {
+  MetricsRegistry registry(/*enabled=*/true);
+
+  // A tiny sweep: the kernel, cluster, service and executor instruments.
+  exp::ExperimentConfig sweep_config;
+  sweep_config.trace.job_count = 40;
+  exp::ExperimentRunner runner(sweep_config, nullptr, 2);
+  runner.set_metrics(&registry);
+  (void)runner.run_scenarios({exp::all_scenarios().front()},
+                             sweep_config.default_settings(),
+                             {policy::PolicyKind::Libra});
+
+  // A 2-shard, journalled, advise-auto engine, drained and then
+  // recovered from its journal: every serve.* instrument.
+  const std::filesystem::path journal =
+      std::filesystem::path(::testing::TempDir()) / "metric_inventory";
+  std::filesystem::remove_all(journal);
+  serve::ShardedEngineConfig engine_config;
+  engine_config.engine.journal_dir = journal.string();
+  engine_config.engine.fsync = serve::FsyncPolicy::None;
+  engine_config.engine.advisor.auto_switch = true;
+  engine_config.engine.metrics = &registry;
+  engine_config.shards = 2;
+  serve::LoadgenConfig load;
+  load.requests = 40;
+  load.workload = "zipf:tenants=4";
+  {
+    serve::ShardedEngine engine(engine_config);
+    engine.start();
+    for (const serve::Request& request : serve::make_request_stream(load)) {
+      while (!engine.submit(request, [](const serve::Response&) {})) {
+        std::this_thread::yield();
+      }
+    }
+    (void)engine.drain();
+  }
+  {
+    serve::ShardedEngine recovered(engine_config);
+    EXPECT_EQ(recovered.recovery().replayed, load.requests);
+    (void)recovered.drain();
+  }
+  std::filesystem::remove_all(journal);
+
+  std::set<std::string> registered;
+  const MetricSnapshot snapshot = registry.snapshot();
+  for (const auto& [name, value] : snapshot.counters) {
+    registered.insert(inventory_name(name));
+  }
+  for (const auto& [name, value] : snapshot.gauges) {
+    registered.insert(inventory_name(name));
+  }
+  for (const HistogramSnapshot& histogram : snapshot.histograms) {
+    registered.insert(inventory_name(histogram.name));
+  }
+
+  const std::set<std::string> documented = documented_metrics();
+  for (const std::string& name : registered) {
+    EXPECT_TRUE(documented.contains(name))
+        << name << " is registered but has no row in docs/OBSERVABILITY.md";
+  }
+  for (const std::string& name : documented) {
+    EXPECT_TRUE(registered.contains(name))
+        << name << " has a row in docs/OBSERVABILITY.md but nothing "
+        << "registers it";
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Tests for the parallel sweep executor: thread pool semantics,
-// parallel-vs-serial bit-identity, concurrent ResultStore safety and
-// in-flight deduplication.
+// Tests for the run-matrix executor: thread pool semantics, bit-identity
+// and identical statistics at every worker count, concurrent ResultStore
+// safety and in-flight deduplication.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -59,10 +59,15 @@ TEST(ThreadPoolTest, ZeroWorkerRequestClampsToOne) {
 TEST(ParallelForIndexTest, CoversEachIndexExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(257);
+  std::vector<std::size_t> worker_of(hits.size());
   parallel_for_index(pool, hits.size(),
-                     [&hits](std::size_t i) { hits[i].fetch_add(1); });
+                     [&](std::size_t worker, std::size_t i) {
+                       hits[i].fetch_add(1);
+                       worker_of[i] = worker;
+                     });
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    EXPECT_LT(worker_of[i], pool.worker_count()) << "index " << i;
   }
 }
 
@@ -70,17 +75,18 @@ TEST(ParallelForIndexTest, PropagatesTheFirstException) {
   ThreadPool pool(4);
   EXPECT_THROW(
       parallel_for_index(pool, 64,
-                         [](std::size_t i) {
+                         [](std::size_t, std::size_t i) {
                            if (i == 13) throw std::runtime_error("boom");
                          }),
       std::runtime_error);
   // The pool survives a throwing batch.
   std::atomic<int> counter{0};
-  parallel_for_index(pool, 8, [&counter](std::size_t) { counter++; });
+  parallel_for_index(pool, 8,
+                     [&counter](std::size_t, std::size_t) { counter++; });
   EXPECT_EQ(counter.load(), 8);
 }
 
-// ------------------------------------------------- parallel sweep executor
+// --------------------------------------------------- run-matrix executor
 
 ExperimentConfig tiny_config() {
   ExperimentConfig config;
@@ -103,30 +109,33 @@ TEST(ParallelSweepTest, BitIdenticalToSerialAcrossWorkerCounts) {
   const std::vector<Scenario> scenarios = small_scenario_set();
   const RunSettings defaults = config.default_settings();
 
-  ResultStore serial_store;
-  ExperimentRunner serial(config, &serial_store, 1);
+  ExperimentRunner serial(config, nullptr, 1);
+  ASSERT_EQ(serial.worker_count(), 1u);
   const SweepResult reference =
       serial.run_scenarios(scenarios, defaults, kTestPolicies);
 
-  for (std::size_t workers : {1u, 2u, 8u}) {
+  for (std::size_t workers : {2u, 4u, 8u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    ResultStore store;
-    ParallelRunner runner(config, &store, workers);
+    ExperimentRunner runner(config, nullptr, workers);
+    EXPECT_EQ(runner.worker_count(), workers);
     const SweepResult sweep =
         runner.run_scenarios(scenarios, defaults, kTestPolicies);
     EXPECT_TRUE(bit_identical(sweep, reference));
-    EXPECT_EQ(runner.simulations_run(), serial.simulations_run())
-        << "in-flight dedup must match the serial cache dedup";
+    EXPECT_EQ(runner.simulations_run(), serial.simulations_run());
   }
 }
 
 TEST(ParallelSweepTest, ExperimentRunnerParallelPathMatchesSerial) {
+  // Each runner fills its own store: 4 workers must leave the same
+  // entries, value for value, as 1 worker.
   const ExperimentConfig config = tiny_config();
   const std::vector<Scenario> scenarios = small_scenario_set();
   const RunSettings defaults = config.default_settings();
 
-  ExperimentRunner serial(config, nullptr, 1);
-  ExperimentRunner parallel(config, nullptr, 4);
+  ResultStore serial_store;
+  ResultStore parallel_store;
+  ExperimentRunner serial(config, &serial_store, 1);
+  ExperimentRunner parallel(config, &parallel_store, 4);
   EXPECT_EQ(parallel.worker_count(), 4u);
   const SweepResult a =
       serial.run_scenarios(scenarios, defaults, kTestPolicies);
@@ -134,6 +143,55 @@ TEST(ParallelSweepTest, ExperimentRunnerParallelPathMatchesSerial) {
       parallel.run_scenarios(scenarios, defaults, kTestPolicies);
   EXPECT_TRUE(bit_identical(a, b));
   EXPECT_EQ(serial.simulations_run(), parallel.simulations_run());
+
+  const RunMatrix matrix =
+      enumerate_runs(config, scenarios, defaults, kTestPolicies);
+  EXPECT_EQ(serial_store.size(), matrix.runs.size());
+  EXPECT_EQ(parallel_store.size(), matrix.runs.size());
+  for (const MatrixRun& run : matrix.runs) {
+    SCOPED_TRACE(run.key);
+    const auto x = serial_store.lookup(run.key);
+    const auto y = parallel_store.lookup(run.key);
+    ASSERT_TRUE(x.has_value());
+    ASSERT_TRUE(y.has_value());
+    EXPECT_EQ(x->wait, y->wait);
+    EXPECT_EQ(x->sla, y->sla);
+    EXPECT_EQ(x->reliability, y->reliability);
+    EXPECT_EQ(x->profitability, y->profitability);
+  }
+}
+
+TEST(ParallelSweepTest, SameStatisticsAtEveryWorkerCount) {
+  // A partly warm store: Libra's runs of the first scenario, including
+  // the all-defaults run every scenario repeats. The sweep then has cells
+  // of all three kinds: Libra's repeats of the defaults run are cache
+  // hits, and FCFS-BF's are deduped, because they repeat a run this
+  // sweep simulates.
+  const ExperimentConfig config = tiny_config();
+  const std::vector<Scenario> scenarios = small_scenario_set();
+  const RunSettings defaults = config.default_settings();
+  const auto sweep_stats = [&](std::size_t workers) {
+    ResultStore store;
+    ExperimentRunner warm(config, &store, 1);
+    (void)warm.run_scenarios({scenarios.front()}, defaults,
+                             {policy::PolicyKind::Libra});
+    ExperimentRunner runner(config, &store, workers);
+    (void)runner.run_scenarios(scenarios, defaults, kTestPolicies);
+    return runner.stats();
+  };
+
+  const SweepStats serial = sweep_stats(1);
+  std::size_t cells = 0;
+  for (const Scenario& scenario : scenarios) {
+    cells += scenario.values.size() * kTestPolicies.size();
+  }
+  EXPECT_EQ(serial.simulations + serial.deduped + serial.cache_hits, cells);
+  EXPECT_GT(serial.cache_hits, 0u);
+  EXPECT_GT(serial.deduped, 0u);
+  const SweepStats parallel = sweep_stats(4);
+  EXPECT_EQ(parallel.simulations, serial.simulations);
+  EXPECT_EQ(parallel.deduped, serial.deduped);
+  EXPECT_EQ(parallel.cache_hits, serial.cache_hits);
 }
 
 TEST(ParallelSweepTest, InFlightDedupSimulatesSharedKeysOnce) {
@@ -147,7 +205,7 @@ TEST(ParallelSweepTest, InFlightDedupSimulatesSharedKeysOnce) {
 
   const ExperimentConfig config = tiny_config();
   ResultStore store;
-  ParallelRunner runner(config, &store, 4);
+  ExperimentRunner runner(config, &store, 4);
   const SweepResult sweep = runner.run_scenarios(
       {constant}, config.default_settings(), kTestPolicies);
   EXPECT_EQ(runner.simulations_run(), kTestPolicies.size());
@@ -168,10 +226,10 @@ TEST(ParallelSweepTest, WarmStoreServesEverythingWithoutSimulating) {
   const ExperimentConfig config = tiny_config();
   const std::vector<Scenario> scenarios = small_scenario_set();
   ResultStore store;
-  ParallelRunner first(config, &store, 4);
+  ExperimentRunner first(config, &store, 4);
   const SweepResult a = first.run_scenarios(
       scenarios, config.default_settings(), kTestPolicies);
-  ParallelRunner second(config, &store, 4);
+  ExperimentRunner second(config, &store, 4);
   const SweepResult b = second.run_scenarios(
       scenarios, config.default_settings(), kTestPolicies);
   EXPECT_EQ(second.simulations_run(), 0u) << "fully served from the store";
@@ -181,7 +239,7 @@ TEST(ParallelSweepTest, WarmStoreServesEverythingWithoutSimulating) {
 TEST(ParallelSweepTest, TimingCountersArePopulated) {
   const ExperimentConfig config = tiny_config();
   ResultStore store;
-  ParallelRunner runner(config, &store, 2);
+  ExperimentRunner runner(config, &store, 2);
   (void)runner.run_scenarios(small_scenario_set(),
                              config.default_settings(), kTestPolicies);
   const SweepStats& stats = runner.stats();

@@ -30,7 +30,6 @@
 #include "core/report.hpp"
 #include "exp/experiment.hpp"
 #include "exp/figures.hpp"
-#include "exp/parallel.hpp"
 #include "exp/replication.hpp"
 #include "obs/manifest.hpp"
 #include "obs/progress.hpp"
@@ -67,6 +66,19 @@ std::vector<workload::Job> make_trace(const std::string& generator,
   options.keep_last = jobs;
   return workload::load_swf(generator, options).jobs;
 }
+
+/// A job, node or request count: at least 1, and within the 32-bit
+/// fields it lands in.
+std::uint32_t get_count(const cli::ArgParser& parser, const std::string& name) {
+  return static_cast<std::uint32_t>(parser.get_int(
+      name, 1, std::numeric_limits<std::uint32_t>::max()));
+}
+
+std::uint64_t get_seed(const cli::ArgParser& parser, const std::string& name) {
+  return static_cast<std::uint64_t>(parser.get_int(name, 0));
+}
+
+constexpr long kMaxPort = 65535;
 
 economy::EconomicModel parse_model(const std::string& name) {
   if (name == "commodity") return economy::EconomicModel::CommodityMarket;
@@ -113,12 +125,10 @@ int cmd_trace(cli::CommandContext& ctx) {
     }
     return 0;
   }
-  auto jobs = make_trace(
-      parser.get("generator"),
-      static_cast<std::uint32_t>(parser.get_int("jobs")),
-      static_cast<std::uint64_t>(parser.get_int("seed")));
-  std::cout << workload::compute_trace_stats(
-      jobs, static_cast<std::uint32_t>(parser.get_int("nodes")));
+  auto jobs = make_trace(parser.get("generator"), get_count(parser, "jobs"),
+                         get_seed(parser, "seed"));
+  std::cout << workload::compute_trace_stats(jobs,
+                                             get_count(parser, "nodes"));
   if (parser.has("swf")) {
     std::ofstream out(parser.get("swf"));
     if (!out) throw cli::ArgError("cannot write " + parser.get("swf"));
@@ -169,8 +179,9 @@ void declare_simulate(cli::ArgParser& parser) {
 
 int cmd_simulate(cli::CommandContext& ctx) {
   const cli::ArgParser& parser = ctx.args;
-  const auto seed = static_cast<std::uint64_t>(parser.get_int("seed"));
-  const long replicates = parser.get_int("replicates");
+  const std::uint64_t seed = get_seed(parser, "seed");
+  const long replicates = parser.get_int(
+      "replicates", 1, std::numeric_limits<std::uint32_t>::max());
   if (replicates > 1) {
     if (parser.get("generator") != "sdsc") {
       throw cli::ArgError(
@@ -180,8 +191,7 @@ int cmd_simulate(cli::CommandContext& ctx) {
     exp::ReplicationConfig rconfig;
     rconfig.policy = policy::parse_policy_kind(parser.get("policy"));
     rconfig.model = parse_model(parser.get("model"));
-    rconfig.trace.job_count =
-        static_cast<std::uint32_t>(parser.get_int("jobs"));
+    rconfig.trace.job_count = get_count(parser, "jobs");
     rconfig.settings.high_urgency_percent = parser.get_double("urgency");
     rconfig.settings.arrival_delay_factor = parser.get_double("adf");
     rconfig.settings.inaccuracy_percent = parser.get_double("inaccuracy");
@@ -190,10 +200,10 @@ int cmd_simulate(cli::CommandContext& ctx) {
             ? std::numeric_limits<double>::infinity()
             : parser.get_double("fail-mtbf");
     rconfig.settings.failure.mttr_seconds = parser.get_double("fail-mttr");
-    rconfig.settings.failure.seed =
-        static_cast<std::uint64_t>(parser.get_int("fail-seed"));
-    rconfig.settings.recovery.retry_limit =
-        static_cast<std::uint32_t>(parser.get_int("retry-limit"));
+    rconfig.settings.failure.seed = get_seed(parser, "fail-seed");
+    rconfig.settings.recovery.retry_limit = static_cast<std::uint32_t>(
+        parser.get_int("retry-limit", 0,
+                       std::numeric_limits<std::uint32_t>::max()));
     rconfig.workers = ctx.workers;
     rconfig.seeds.clear();
     for (long i = 0; i < replicates; ++i) {
@@ -215,27 +225,24 @@ int cmd_simulate(cli::CommandContext& ctx) {
     return 0;
   }
 
-  const workload::WorkloadBuilder builder(make_trace(
-      parser.get("generator"),
-      static_cast<std::uint32_t>(parser.get_int("jobs")), seed));
+  const workload::WorkloadBuilder builder(
+      make_trace(parser.get("generator"), get_count(parser, "jobs"), seed));
   workload::QosConfig qos;
   qos.high_urgency_percent = parser.get_double("urgency");
   const auto jobs = builder.build(qos, parser.get_double("adf"),
                                   parser.get_double("inaccuracy"));
 
   policy::PolicyContext context;
-  context.machine.node_count =
-      static_cast<std::uint32_t>(parser.get_int("nodes"));
+  context.machine.node_count = get_count(parser, "nodes");
   context.model = parse_model(parser.get("model"));
   context.failure.mtbf_seconds =
       parser.get("fail-mtbf") == "inf"
           ? std::numeric_limits<double>::infinity()
           : parser.get_double("fail-mtbf");
   context.failure.mttr_seconds = parser.get_double("fail-mttr");
-  context.failure.seed =
-      static_cast<std::uint64_t>(parser.get_int("fail-seed"));
-  context.recovery.retry_limit =
-      static_cast<std::uint32_t>(parser.get_int("retry-limit"));
+  context.failure.seed = get_seed(parser, "fail-seed");
+  context.recovery.retry_limit = static_cast<std::uint32_t>(parser.get_int(
+      "retry-limit", 0, std::numeric_limits<std::uint32_t>::max()));
   context.metrics = &ctx.metrics;
   context.log_level = ctx.log_level;
   ctx.manifest.seeds = {seed, context.failure.seed};
@@ -283,15 +290,15 @@ int cmd_simulate(cli::CommandContext& ctx) {
 
 // ------------------------------------------------------------------ sweep
 
-/// Shared by sweep and advise: a ParallelRunner wired to the invocation's
-/// metrics registry and a progress reporter, plus the manifest entries
-/// every sweep records.
+/// Shared by sweep and advise: an ExperimentRunner wired to the
+/// invocation's metrics registry and a progress reporter, plus the
+/// manifest entries every sweep records.
 exp::SweepResult run_wired_sweep(cli::CommandContext& ctx,
                                  const exp::ExperimentConfig& config,
                                  exp::SweepStats* stats_out,
                                  const std::vector<exp::Scenario>* scenarios =
                                      nullptr) {
-  exp::ParallelRunner runner(config, nullptr, ctx.workers);
+  exp::ExperimentRunner runner(config, nullptr, ctx.workers);
   runner.set_metrics(&ctx.metrics);
   obs::ProgressReporter::Options popts;
   popts.label = "sweep";
@@ -344,8 +351,7 @@ int cmd_sweep(cli::CommandContext& ctx) {
   exp::ExperimentConfig config;
   config.model = parse_model(parser.get("model"));
   config.set = parse_set(parser.get("set"));
-  config.trace.job_count =
-      static_cast<std::uint32_t>(parser.get_int("jobs"));
+  config.trace.job_count = get_count(parser, "jobs");
   if (parser.has("workload")) config.workload = parser.get("workload");
   std::vector<exp::Scenario> scenarios;
   if (parser.has("scenario")) {
@@ -422,9 +428,7 @@ int cmd_replay(cli::CommandContext& ctx) {
   } else {
     models = {parse_model(parser.get("model"))};
   }
-  const std::size_t workers =
-      ctx.workers != 0 ? ctx.workers : exp::default_worker_count();
-  ctx.manifest.stats = {{"workers", static_cast<double>(workers)}};
+  ctx.manifest.stats = {{"workers", static_cast<double>(ctx.workers)}};
 
   // One digest over everything this invocation touched, for the manifest.
   verify::DigestStream overall;
@@ -435,9 +439,9 @@ int cmd_replay(cli::CommandContext& ctx) {
       verify::GoldenConfig config;
       config.model = model;
       config.set = parse_set(parser.get("set"));
-      config.job_count = static_cast<std::uint32_t>(parser.get_int("jobs"));
+      config.job_count = get_count(parser, "jobs");
       const verify::GoldenFile golden =
-          verify::compute_golden(config, workers);
+          verify::compute_golden(config, ctx.workers);
       const std::string path =
           verify::write_golden(golden, parser.get("record"));
       overall.put_u64(golden.combined());
@@ -464,7 +468,7 @@ int cmd_replay(cli::CommandContext& ctx) {
     // the command line only selects which files to check.
     const verify::GoldenFile golden = verify::load_golden(path);
     const verify::CheckReport result =
-        verify::check_golden(golden, workers);
+        verify::check_golden(golden, ctx.workers);
     checked += result.records_checked;
     for (const std::string& diagnostic : result.diagnostics) {
       diagnostics.push_back(golden.config.filename() + ": " + diagnostic);
@@ -533,8 +537,7 @@ int cmd_advise(cli::CommandContext& ctx) {
   exp::ExperimentConfig config;
   config.model = parse_model(parser.get("model"));
   config.set = parse_set(parser.get("set"));
-  config.trace.job_count =
-      static_cast<std::uint32_t>(parser.get_int("jobs"));
+  config.trace.job_count = get_count(parser, "jobs");
   if (parser.has("workload")) config.workload = parser.get("workload");
   const core::AdvisorInput measured =
       exp::advisor_input(run_wired_sweep(ctx, config, nullptr));
@@ -663,14 +666,10 @@ serve::EngineConfig engine_config_from(const cli::CommandContext& ctx) {
   serve::EngineConfig config;
   config.policy = policy::parse_policy_kind(parser.get("policy"));
   config.model = parse_model(parser.get("model"));
-  config.machine.node_count =
-      static_cast<std::uint32_t>(parser.get_int("nodes"));
-  const long capacity = parser.get_int("queue-capacity");
-  if (capacity < 1) throw cli::ArgError("--queue-capacity must be >= 1");
-  config.queue_capacity = static_cast<std::size_t>(capacity);
-  const long batch = parser.get_int("max-batch");
-  if (batch < 1) throw cli::ArgError("--max-batch must be >= 1");
-  config.max_batch = static_cast<std::size_t>(batch);
+  config.machine.node_count = get_count(parser, "nodes");
+  config.queue_capacity =
+      static_cast<std::size_t>(parser.get_int("queue-capacity", 1));
+  config.max_batch = static_cast<std::size_t>(parser.get_int("max-batch", 1));
   config.retry_after_ms = parser.get_double("retry-after-ms");
   if (parser.has("journal")) config.journal_dir = parser.get("journal");
   try {
@@ -678,12 +677,8 @@ serve::EngineConfig engine_config_from(const cli::CommandContext& ctx) {
   } catch (const std::invalid_argument& e) {
     throw cli::ArgError(e.what());
   }
-  const long segment_records = parser.get_int("segment-records");
-  if (segment_records < 1) {
-    throw cli::ArgError("--segment-records must be >= 1");
-  }
   config.journal_segment_records =
-      static_cast<std::size_t>(segment_records);
+      static_cast<std::size_t>(parser.get_int("segment-records", 1));
   config.group_commit_ms = parser.get_double("group-commit-ms");
   if (config.group_commit_ms < 0.0) {
     throw cli::ArgError("--group-commit-ms must be >= 0");
@@ -693,12 +688,10 @@ serve::EngineConfig engine_config_from(const cli::CommandContext& ctx) {
     throw cli::ArgError("--brownout-watermark must be in (0, 1]");
   }
   config.advisor.auto_switch = parser.get_flag("advise-auto");
-  const long advise_every = parser.get_int("advise-every");
-  if (advise_every < 0) throw cli::ArgError("--advise-every must be >= 0");
-  config.advisor.advise_every = static_cast<std::uint64_t>(advise_every);
-  const long advise_window = parser.get_int("advise-window");
-  if (advise_window < 2) throw cli::ArgError("--advise-window must be >= 2");
-  config.advisor.window = static_cast<std::size_t>(advise_window);
+  config.advisor.advise_every =
+      static_cast<std::uint64_t>(parser.get_int("advise-every", 0));
+  config.advisor.window =
+      static_cast<std::size_t>(parser.get_int("advise-window", 2));
   try {
     config.advisor.scoring.objective_weights =
         core::AdvisorConfig::parse_weights(parser.get("advise-weights"));
@@ -805,9 +798,8 @@ int cmd_serve(cli::CommandContext& ctx) {
 
   serve::ShardedEngineConfig sharded_config;
   sharded_config.engine = engine_config_from(ctx);
-  const long shards = parser.get_int("shards");
-  if (shards < 1) throw cli::ArgError("--shards must be >= 1");
-  sharded_config.shards = static_cast<std::size_t>(shards);
+  sharded_config.shards =
+      static_cast<std::size_t>(parser.get_int("shards", 1));
   serve::ShardedEngine engine(sharded_config);
   const serve::RecoveryStats recovery = engine.recovery();
   if (recovery.attempted && recovery.replayed > 0) {
@@ -829,16 +821,13 @@ int cmd_serve(cli::CommandContext& ctx) {
   if (socket) {
     server_config.unix_path = parser.get("socket");
   } else {
-    server_config.tcp_port = static_cast<int>(parser.get_int("port"));
+    server_config.tcp_port =
+        static_cast<int>(parser.get_int("port", 0, kMaxPort));
   }
-  const long io_threads = parser.get_int("io-threads");
-  if (io_threads < 1) throw cli::ArgError("--io-threads must be >= 1");
-  server_config.io_threads = static_cast<std::size_t>(io_threads);
-  const long write_buffer = parser.get_int("write-buffer-bytes");
-  if (write_buffer < 1024) {
-    throw cli::ArgError("--write-buffer-bytes must be >= 1024");
-  }
-  server_config.write_buffer_bytes = static_cast<std::size_t>(write_buffer);
+  server_config.io_threads =
+      static_cast<std::size_t>(parser.get_int("io-threads", 1));
+  server_config.write_buffer_bytes =
+      static_cast<std::size_t>(parser.get_int("write-buffer-bytes", 1024));
   server_config.write_stall_ms = parser.get_double("write-stall-ms");
   if (server_config.write_stall_ms <= 0.0) {
     throw cli::ArgError("--write-stall-ms must be > 0");
@@ -931,23 +920,21 @@ int cmd_loadgen(cli::CommandContext& ctx) {
   serve::LoadgenConfig config;
   if (parser.has("socket")) config.unix_path = parser.get("socket");
   if (parser.has("port")) {
-    config.tcp_port = static_cast<int>(parser.get_int("port"));
+    config.tcp_port = static_cast<int>(parser.get_int("port", 1, kMaxPort));
   }
   if (config.unix_path.empty() && config.tcp_port < 0) {
     throw cli::ArgError("loadgen needs --socket PATH or --port N");
   }
-  config.requests = static_cast<std::size_t>(parser.get_int("requests"));
-  config.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+  config.requests = get_count(parser, "requests");
+  config.seed = get_seed(parser, "seed");
   if (parser.has("workload")) config.workload = parser.get("workload");
   if (parser.has("mix-shift")) config.mix_shift = parser.get("mix-shift");
   config.open_loop = parser.get_flag("open-loop");
   config.rate = parser.get_double("rate");
-  const long connections = parser.get_int("connections");
-  if (connections < 1) throw cli::ArgError("--connections must be >= 1");
-  config.connections = static_cast<std::size_t>(connections);
-  const long busy_retries = parser.get_int("busy-retries");
-  if (busy_retries < 0) throw cli::ArgError("--busy-retries must be >= 0");
-  config.busy_retries = static_cast<std::size_t>(busy_retries);
+  config.connections =
+      static_cast<std::size_t>(parser.get_int("connections", 1));
+  config.busy_retries =
+      static_cast<std::size_t>(parser.get_int("busy-retries", 0));
   config.retry_interval_ms = parser.get_double("retry-interval-ms");
   if (config.retry_interval_ms < 0.0) {
     throw cli::ArgError("--retry-interval-ms must be >= 0");
@@ -963,7 +950,7 @@ int cmd_loadgen(cli::CommandContext& ctx) {
 
   if (parser.get_flag("chaos")) {
     config.chaos_connections =
-        static_cast<std::size_t>(parser.get_int("chaos-connections"));
+        static_cast<std::size_t>(parser.get_int("chaos-connections", 0));
     config.chaos_duration_seconds = parser.get_double("duration");
     const serve::ChaosReport chaos = serve::run_chaos(config);
     std::cout << "mode:         chaos\n"
