@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <sstream>
 
 namespace utilrisk::cli {
@@ -118,14 +119,39 @@ std::string ArgParser::get(const std::string& name) const {
   return spec->default_value;
 }
 
-double ArgParser::get_double(const std::string& name) const {
+namespace {
+
+/// "[min, max]", or "(must be >= min)" when `max` is the type's largest
+/// value: the range part of an out-of-range message.
+template <typename T>
+std::string range_text(T min, T max) {
+  const auto text = [](T value) {
+    char buf[32];
+    const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+    return std::string(buf, end);
+  };
+  return max == std::numeric_limits<T>::max()
+             ? "(must be >= " + text(min) + ")"
+             : "[" + text(min) + ", " + text(max) + "]";
+}
+
+}  // namespace
+
+double ArgParser::get_double(const std::string& name, double min,
+                             double max) const {
   const std::string text = get(name);
   double value = 0.0;
   const char* begin = text.data();
   const char* end = begin + text.size();
   auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end) {
+  const bool overflow = ec == std::errc::result_out_of_range;
+  if (ptr != end || (ec != std::errc{} && !overflow)) {
     throw ArgError("option --" + name + ": '" + text + "' is not a number");
+  }
+  // from_chars reads "nan" and "inf"; neither is in any range.
+  if (overflow || !std::isfinite(value) || value < min || value > max) {
+    throw ArgError("option --" + name + ": " + text + " is out of range " +
+                   range_text(min, max));
   }
   return value;
 }
@@ -143,10 +169,7 @@ long ArgParser::get_int(const std::string& name, long min, long max) const {
   }
   if (overflow || value < min || value > max) {
     throw ArgError("option --" + name + ": " + text + " is out of range " +
-                   (max == std::numeric_limits<long>::max()
-                        ? "(must be >= " + std::to_string(min) + ")"
-                        : "[" + std::to_string(min) + ", " +
-                              std::to_string(max) + "]"));
+                   range_text(min, max));
   }
   return value;
 }

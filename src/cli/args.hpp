@@ -58,7 +58,12 @@ class ArgParser {
   // --- typed access (after parse) --------------------------------------
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name) const;
-  [[nodiscard]] double get_double(const std::string& name) const;
+  /// The option as a finite number in [min, max]; anything else (not a
+  /// number, `nan`, `inf`, or out of range) is an ArgError naming the
+  /// option and its range.
+  [[nodiscard]] double get_double(
+      const std::string& name, double min,
+      double max = std::numeric_limits<double>::max()) const;
   /// The option as an integer in [min, max]; anything else (not an
   /// integer, or out of range) is an ArgError naming the option and its
   /// range. Every integer option states its range here, so a negative or

@@ -59,8 +59,6 @@ AdmissionEngine::AdmissionEngine(const EngineConfig& config)
   rejected_metric_ = obs::counter_or_null(config_.metrics, "serve.rejected");
   busy_metric_ = obs::counter_or_null(config_.metrics, "serve.busy");
   shed_metric_ = obs::counter_or_null(config_.metrics, "serve.shed_total");
-  brownout_metric_ =
-      obs::counter_or_null(config_.metrics, "serve.brownout_total");
   advise_metric_ =
       obs::counter_or_null(config_.metrics, "serve.advise_queries");
   evaluations_metric_ =
@@ -75,12 +73,6 @@ AdmissionEngine::AdmissionEngine(const EngineConfig& config)
       config_.metrics, "serve.batch_size", batch_size_buckets());
   tick_seconds_metric_ = obs::histogram_or_null(
       config_.metrics, "serve.tick_seconds", request_time_buckets());
-
-  if (config_.brownout_watermark < 1.0) {
-    brownout_threshold_ = std::max<std::size_t>(
-        1, static_cast<std::size_t>(config_.brownout_watermark *
-                                    static_cast<double>(queue_.capacity())));
-  }
 
   // The advisor must exist before any journal replay: switch points fire
   // inside decide(), and recovery re-derives pre-crash switches by
@@ -182,15 +174,6 @@ void AdmissionEngine::start() {
 
 bool AdmissionEngine::submit(const Request& request, Completion completion) {
   if (requests_metric_ != nullptr) requests_metric_->inc();
-  // Brownout: above the high watermark the engine is already minutes of
-  // decisions behind — answering busy/retry-after now is kinder (and
-  // cheaper) than queueing work that will only be shed later.
-  if (queue_.size() >= brownout_threshold_) {
-    brownout_count_.fetch_add(1, std::memory_order_relaxed);
-    if (brownout_metric_ != nullptr) brownout_metric_->inc();
-    if (busy_metric_ != nullptr) busy_metric_->inc();
-    return false;
-  }
   Pending pending{request, std::move(completion),
                   std::chrono::steady_clock::now()};
   const bool queued = queue_.try_push(std::move(pending));
@@ -560,7 +543,6 @@ EngineStats AdmissionEngine::drain() {
   }
   stats_.decision_digest = verify::to_hex(decision_digest_.value());
   stats_.digest = decision_digest_;
-  stats_.brownout = brownout_count_.load(std::memory_order_relaxed);
   if (journal_ != nullptr) {
     // Seal the final segment so a later recovery verifies it wholesale
     // instead of line by line.

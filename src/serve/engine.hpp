@@ -6,7 +6,9 @@
 // hand it requests through a bounded queue (bounded_queue.hpp) and the
 // engine coalesces whatever is in flight into a batch, advances the
 // virtual clock tick by tick, and answers each request with the policy's
-// admission decision, the quoted price and a load-risk index.
+// admission decision, the quoted price and a load-risk index. The queue's
+// capacity is the one backpressure knob: submit() refuses when it is full
+// and the caller answers `busy`.
 //
 // Determinism (docs/SERVING.md): each request carries its own virtual
 // submission instant `t`; the engine clamps it monotonically
@@ -65,7 +67,8 @@ struct EngineConfig {
   cluster::MachineConfig machine;  ///< node_count defaults per cluster/node.hpp
   economy::PricingParams pricing;
   policy::FirstRewardParams first_reward;
-  /// Bounded admission queue capacity; a full queue is backpressure.
+  /// Bounded admission queue capacity, the one cap on queue depth: a
+  /// full queue is backpressure (`busy`).
   std::size_t queue_capacity = 1024;
   /// Max requests coalesced into one simulation tick.
   std::size_t max_batch = 64;
@@ -85,12 +88,6 @@ struct EngineConfig {
   /// syncs immediately, so an idle or closed-loop client never waits out
   /// the window.
   double group_commit_ms = 8.0;
-  /// Brownout high watermark as a fraction of queue capacity. When the
-  /// queue is at or above `watermark * capacity`, submit() fast-fails
-  /// (busy / retry-after) instead of queueing — the engine stops building
-  /// a backlog it cannot decide within anyone's patience. 1.0 disables
-  /// brownout (only a completely full queue pushes back).
-  double brownout_watermark = 1.0;
   /// Optional registry for the serve.* instruments (may be null).
   obs::MetricsRegistry* metrics = nullptr;
   sim::LogLevel log_level = sim::LogLevel::Off;
@@ -123,8 +120,6 @@ struct EngineStats {
   /// Requests dropped unsimulated because their `deadline_ms` decision
   /// budget expired in the queue (wall-clock artefact; not digested).
   std::uint64_t shed = 0;
-  /// Submissions fast-failed by the brownout high watermark.
-  std::uint64_t brownout = 0;
   /// `advise` protocol queries answered (read-only; never digested).
   std::uint64_t advise_queries = 0;
   /// Scheduled advisor evaluations at switch points.
@@ -324,10 +319,6 @@ class AdmissionEngine : public EngineApi {
   std::atomic<bool> drained_{false};
   std::mutex drain_mutex_;  ///< serialises drain() callers
   std::thread thread_;
-  /// Brownout fast-fail threshold in queue slots (SIZE_MAX = disabled);
-  /// counted on IO threads, so atomic (stats_ is engine-thread-only).
-  std::size_t brownout_threshold_ = SIZE_MAX;
-  std::atomic<std::uint64_t> brownout_count_{0};
 
   // serve.* instruments (null when metrics are absent/disabled).
   obs::Counter* requests_metric_ = nullptr;
@@ -335,7 +326,6 @@ class AdmissionEngine : public EngineApi {
   obs::Counter* rejected_metric_ = nullptr;
   obs::Counter* busy_metric_ = nullptr;
   obs::Counter* shed_metric_ = nullptr;
-  obs::Counter* brownout_metric_ = nullptr;
   obs::Counter* advise_metric_ = nullptr;
   obs::Counter* evaluations_metric_ = nullptr;
   obs::Counter* switches_metric_ = nullptr;

@@ -433,9 +433,7 @@ void JournalWriter::fsync_now() {
 
 void JournalWriter::append_request(const Request& request) {
   scratch_.clear();
-  scratch_ += "{\"type\":\"req\",\"seq\":";
-  scratch_ += std::to_string(next_seq_++);
-  scratch_ += ",\"req\":";
+  scratch_ += "{\"type\":\"req\",\"req\":";
   encode_request_to(scratch_, request);
   append_line(scratch_);
   ++stats_.requests;
@@ -444,9 +442,7 @@ void JournalWriter::append_request(const Request& request) {
 
 void JournalWriter::append_switch(const SwitchRecord& record) {
   scratch_.clear();
-  scratch_ += "{\"type\":\"sw\",\"seq\":";
-  scratch_ += std::to_string(next_seq_++);
-  scratch_ += ",\"key\":\"";
+  scratch_ += "{\"type\":\"sw\",\"key\":\"";
   scratch_ += verify::to_hex(record.key);
   scratch_ += "\",\"at\":";
   scratch_ += std::to_string(record.at);
@@ -464,9 +460,7 @@ void JournalWriter::append_tick(std::uint64_t processed,
                                 const std::string& digest_hex,
                                 bool sync_now) {
   scratch_.clear();
-  scratch_ += "{\"type\":\"tick\",\"seq\":";
-  scratch_ += std::to_string(next_seq_++);
-  scratch_ += ",\"processed\":";
+  scratch_ += "{\"type\":\"tick\",\"processed\":";
   scratch_ += std::to_string(processed);
   scratch_ += ",\"digest\":\"";
   scratch_ += digest_hex;

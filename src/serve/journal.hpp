@@ -13,12 +13,16 @@
 // On-disk format: append-only NDJSON segments in one directory,
 //
 //   journal-00000001.ndjson
-//     {"type":"req","seq":1,"req":{...wire request...},"chk":"<16hex>"}
-//     {"type":"sw","seq":2,"key":"<16hex>","at":64,"from":"Libra",
-//      "to":"FCFS-BF","chk":"..."}            (advise-auto policy switch)
-//     {"type":"tick","seq":3,"processed":1,"digest":"<16hex>","chk":"..."}
+//     {"type":"req","req":{...wire request...},"chk":"<16hex>"}
+//     {"type":"sw","key":"<16hex>","at":64,"from":"Libra","to":"FCFS-BF",
+//      "chk":"..."}                           (advise-auto policy switch)
+//     {"type":"tick","processed":1,"digest":"<16hex>","chk":"..."}
 //     ...
 //     {"type":"seal","records":4096,"digest":"<16hex>"}   (rotation only)
+//
+// A record's position in its segment is its order; the parser ignores
+// unknown keys, so segments whose records also carry the retired `seq`
+// field still load.
 //
 // Integrity is layered (all FNV-1a via src/verify):
 //  - per line: `chk` digests the line's own bytes up to the chk field, so
@@ -201,8 +205,7 @@ class JournalWriter {
   /// engine loop's hot path; no per-record allocations).
   std::string scratch_;
   std::uint64_t next_segment_ = 1;
-  std::uint64_t next_seq_ = 1;        ///< record seq, journal-lifetime
-  std::size_t segment_records_ = 0;   ///< records in the open segment
+  std::size_t segment_records_ = 0;  ///< records in the open segment
   /// Running seal-trailer digest: put_string fold over the open
   /// segment's record lines, reset at rotation.
   verify::DigestStream seal_fold_;

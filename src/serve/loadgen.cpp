@@ -218,6 +218,19 @@ workload::GeneratorSpec mix_shift_spec(const LoadgenConfig& config) {
   return outer;
 }
 
+/// One server line as a response. A line that is not one is booked as an
+/// `error` with no id: it answers the closed loop's request in flight and
+/// matches no open-loop request, which then drops at the idle timeout.
+[[nodiscard]] Response parse_reply(const std::string& line) {
+  try {
+    return parse_response(line);
+  } catch (const ProtocolError& e) {
+    Response response;  // id 0, Status::Error
+    response.message = e.what();
+    return response;
+  }
+}
+
 /// Books a failed read under its cause.
 void count_read_failure(LoadgenReport& report,
                         LineSocket::ReadResult::Kind kind) {
@@ -322,7 +335,7 @@ void run_session(const LoadgenConfig& config,
           count_read_failure(report, read.kind);  // give up on this id
           break;
         }
-        const Response response = parse_response(read.line);
+        const Response response = parse_reply(read.line);
         tally(report, digest, response);
         if (response.status == Status::Busy && response.id == request.id &&
             retries < config.busy_retries) {
@@ -389,7 +402,7 @@ void run_session(const LoadgenConfig& config,
           continue;
         }
         last_activity = Clock::now();
-        const Response response = parse_response(read.line);
+        const Response response = parse_reply(read.line);
         std::lock_guard lock(mutex);
         tally(report, digest, response);
         if (const auto it = pending.find(response.id);
@@ -432,7 +445,7 @@ void run_session(const LoadgenConfig& config,
 }  // namespace
 
 LoadgenReport run_loadgen(const LoadgenConfig& config) {
-  const std::vector<Request> requests = make_request_stream(config);
+  std::vector<Request> requests = make_request_stream(config);
   const std::size_t fanout = std::max<std::size_t>(1, config.connections);
 
   LoadgenReport report;
@@ -440,60 +453,56 @@ LoadgenReport run_loadgen(const LoadgenConfig& config) {
   std::vector<double> latencies_ms;
   const auto wall_start = Clock::now();
 
-  if (fanout == 1) {
-    run_session(config, requests, config.rate, report, digest, latencies_ms);
-  } else {
-    // Partition by routing key with the same consistent hash the sharded
-    // server routes by: each tenant's subsequence stays in order on one
-    // connection, so per-tenant decisions — and with them the merged
-    // order-independent digest — are identical to a single-connection
-    // replay of the same stream.
-    ShardRouter router(fanout);
-    std::vector<std::vector<Request>> partitions(fanout);
-    for (const Request& request : requests) {
-      partitions[router.shard_for(routing_key(request))].push_back(request);
-    }
-    std::vector<LoadgenReport> reports(fanout);
-    std::vector<verify::UnorderedDigest> digests(fanout);
-    std::vector<std::vector<double>> latencies(fanout);
-    std::vector<std::string> failures(fanout);
-    const double per_connection_rate =
-        config.rate / static_cast<double>(fanout);
-    std::vector<std::thread> clients;
-    clients.reserve(fanout);
-    for (std::size_t i = 0; i < fanout; ++i) {
-      clients.emplace_back([&, i] {
-        try {
-          run_session(config, partitions[i], per_connection_rate, reports[i],
-                      digests[i], latencies[i]);
-        } catch (const std::exception& e) {
-          failures[i] = e.what();
-        }
-      });
-    }
-    for (std::thread& client : clients) client.join();
-    for (const std::string& failure : failures) {
-      if (!failure.empty()) throw std::runtime_error(failure);
-    }
-    for (std::size_t i = 0; i < fanout; ++i) {
-      const LoadgenReport& part = reports[i];
-      report.sent += part.sent;
-      report.responses += part.responses;
-      report.accepted += part.accepted;
-      report.rejected += part.rejected;
-      report.busy += part.busy;
-      report.busy_retried += part.busy_retried;
-      report.hinted_retries += part.hinted_retries;
-      report.shed += part.shed;
-      report.errors += part.errors;
-      report.dropped += part.dropped;
-      report.read_timeouts += part.read_timeouts;
-      report.read_eofs += part.read_eofs;
-      report.read_errors += part.read_errors;
-      digest.merge(digests[i]);
-      latencies_ms.insert(latencies_ms.end(), latencies[i].begin(),
-                          latencies[i].end());
-    }
+  // Partition by routing key with the same consistent hash the sharded
+  // server routes by: each tenant's subsequence stays in order on one
+  // connection, so per-tenant decisions — and with them the merged
+  // order-independent digest — are identical to a single-connection
+  // replay of the same stream.
+  ShardRouter router(fanout);
+  std::vector<std::vector<Request>> partitions(fanout);
+  for (Request& request : requests) {
+    partitions[router.shard_for(routing_key(request))].push_back(
+        std::move(request));
+  }
+  std::vector<LoadgenReport> reports(fanout);
+  std::vector<verify::UnorderedDigest> digests(fanout);
+  std::vector<std::vector<double>> latencies(fanout);
+  std::vector<std::string> failures(fanout);
+  const double per_connection_rate = config.rate / static_cast<double>(fanout);
+  std::vector<std::thread> clients;
+  clients.reserve(fanout);
+  for (std::size_t i = 0; i < fanout; ++i) {
+    clients.emplace_back([&, i] {
+      try {
+        run_session(config, partitions[i], per_connection_rate, reports[i],
+                    digests[i], latencies[i]);
+      } catch (const std::exception& e) {
+        failures[i] = e.what();
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  for (const std::string& failure : failures) {
+    if (!failure.empty()) throw std::runtime_error(failure);
+  }
+  for (std::size_t i = 0; i < fanout; ++i) {
+    const LoadgenReport& part = reports[i];
+    report.sent += part.sent;
+    report.responses += part.responses;
+    report.accepted += part.accepted;
+    report.rejected += part.rejected;
+    report.busy += part.busy;
+    report.busy_retried += part.busy_retried;
+    report.hinted_retries += part.hinted_retries;
+    report.shed += part.shed;
+    report.errors += part.errors;
+    report.dropped += part.dropped;
+    report.read_timeouts += part.read_timeouts;
+    report.read_eofs += part.read_eofs;
+    report.read_errors += part.read_errors;
+    digest.merge(digests[i]);
+    latencies_ms.insert(latencies_ms.end(), latencies[i].begin(),
+                        latencies[i].end());
   }
 
   report.wall_seconds = seconds_between(wall_start, Clock::now());

@@ -99,7 +99,8 @@ struct LoadgenReport {
   /// hint (the rest waited the client-side `retry_interval_ms` fallback).
   std::uint64_t hinted_retries = 0;
   std::uint64_t shed = 0;    ///< decision-deadline sheds observed
-  std::uint64_t errors = 0;  ///< protocol errors reported by the server
+  /// `error` replies, and reply lines that are not a response at all.
+  std::uint64_t errors = 0;
   /// Requests the run gave up on (idle timeout / connection loss). A
   /// clean run has zero. The three cause counters below say *why* reads
   /// gave up — an idle server, a closed connection and a socket error

@@ -207,6 +207,10 @@ void Server::acceptor_loop() {
 }
 
 void Server::reader_loop(const std::shared_ptr<Connection>& connection) {
+  const auto sink = std::make_shared<const ReplySink>(
+      [connection](const std::string& line) {
+        return connection->write_line(line);
+      });
   std::string buffer;
   bool discarding = false;  // inside an over-long line, until its newline
   char chunk[4096];
@@ -249,26 +253,19 @@ void Server::reader_loop(const std::shared_ptr<Connection>& connection) {
         discarding = false;  // the tail of the oversized line
         continue;
       }
-      if (!line.empty()) handle_line(connection, std::move(line));
+      if (!line.empty()) handle_line(sink, std::move(line));
     }
     buffer.erase(0, start);
-    // A line still has no newline: cap its growth before parsing.
-    if (!discarding && buffer.size() > config_.max_line_bytes) {
-      oversized_.fetch_add(1, std::memory_order_relaxed);
-      lines_.fetch_add(1, std::memory_order_relaxed);
-      Response error;
-      error.status = Status::Error;
-      error.message = "request exceeds " +
-                      std::to_string(config_.max_line_bytes) + " bytes";
-      if (connection->write_line(encode_response(error))) {
-        responses_.fetch_add(1, std::memory_order_relaxed);
-      }
+    // A line still has no newline: cap its growth. handle_line answers it
+    // as oversized; the rest of it is discarded up to its newline.
+    if (!discarding && buffer.size() > kMaxRequestBytes) {
+      handle_line(sink, std::move(buffer));
       buffer.clear();
       discarding = true;
     }
   }
   if (!discarding && !buffer.empty()) {
-    handle_line(connection, std::move(buffer));  // unterminated last line
+    handle_line(sink, std::move(buffer));  // unterminated last line
   }
   // Half-close linger: the peer stopped submitting but responses already
   // queued in the outbox must still reach it. Drain under the same stall
@@ -288,18 +285,16 @@ void Server::reader_loop(const std::shared_ptr<Connection>& connection) {
   }
 }
 
-void Server::handle_line(const std::shared_ptr<Connection>& connection,
+void Server::handle_line(const std::shared_ptr<const ReplySink>& sink,
                          std::string line) {
   lines_.fetch_add(1, std::memory_order_relaxed);
   Response error;
   error.status = Status::Error;
-  if (line.size() > config_.max_line_bytes) {
+  if (line.size() > kMaxRequestBytes) {
     oversized_.fetch_add(1, std::memory_order_relaxed);
-    error.message = "request exceeds " +
-                    std::to_string(config_.max_line_bytes) + " bytes";
-    if (connection->write_line(encode_response(error))) {
-      responses_.fetch_add(1, std::memory_order_relaxed);
-    }
+    error.message =
+        "request exceeds " + std::to_string(kMaxRequestBytes) + " bytes";
+    reply(*sink, error);
     return;
   }
   Request request;
@@ -308,23 +303,22 @@ void Server::handle_line(const std::shared_ptr<Connection>& connection,
   } catch (const ProtocolError& e) {
     malformed_.fetch_add(1, std::memory_order_relaxed);
     error.message = e.what();
-    if (connection->write_line(encode_response(error))) {
-      responses_.fetch_add(1, std::memory_order_relaxed);
-    }
+    reply(*sink, error);
     return;
   }
-  const bool queued = engine_.submit(
-      request, [this, connection](const Response& response) {
-        if (connection->write_line(encode_response(response))) {
-          responses_.fetch_add(1, std::memory_order_relaxed);
-        }
+  const bool queued =
+      engine_.submit(request, [this, sink](const Response& response) {
+        reply(*sink, response);
       });
   if (!queued) {
     busy_.fetch_add(1, std::memory_order_relaxed);
-    if (connection->write_line(
-            encode_response(engine_.make_busy_response(request)))) {
-      responses_.fetch_add(1, std::memory_order_relaxed);
-    }
+    reply(*sink, engine_.make_busy_response(request));
+  }
+}
+
+void Server::reply(const ReplySink& sink, const Response& response) {
+  if (sink(encode_response(response))) {
+    responses_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -362,49 +356,22 @@ ServerStats Server::stats() const {
   return stats;
 }
 
-ServerStats Server::run_stdio(EngineApi& engine, std::istream& in,
-                              std::ostream& out,
-                              std::size_t max_line_bytes) {
-  ServerStats stats;
+ServerStats Server::run_stdio(std::istream& in, std::ostream& out) {
+  // Written by this thread (errors, busy) and the engine's (completions).
   std::mutex write_mutex;
-  auto write_line = [&out, &write_mutex, &stats](const Response& response) {
-    std::lock_guard lock(write_mutex);
-    out << encode_response(response) << '\n';
-    ++stats.responses;
-  };
-
+  const auto sink = std::make_shared<const ReplySink>(
+      [&out, &write_mutex](const std::string& line) {
+        std::lock_guard lock(write_mutex);
+        out << line << '\n';
+        return static_cast<bool>(out);
+      });
   std::string line;
   while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++stats.lines;
-    if (line.size() > max_line_bytes) {
-      ++stats.oversized;
-      Response error;
-      error.status = Status::Error;
-      error.message =
-          "request exceeds " + std::to_string(max_line_bytes) + " bytes";
-      write_line(error);
-      continue;
-    }
-    Request request;
-    try {
-      request = parse_request(line);
-    } catch (const ProtocolError& e) {
-      ++stats.malformed;
-      Response error;
-      error.status = Status::Error;
-      error.message = e.what();
-      write_line(error);
-      continue;
-    }
-    if (!engine.submit(request, write_line)) {
-      ++stats.busy;
-      write_line(engine.make_busy_response(request));
-    }
+    if (!line.empty()) handle_line(sink, std::move(line));
   }
-  engine.drain();  // EOF on stdin is the drain signal in stdio mode
+  engine_.drain();  // EOF on stdin is the drain signal in stdio mode
   out.flush();
-  return stats;
+  return stats();
 }
 
 }  // namespace utilrisk::serve

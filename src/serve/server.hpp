@@ -1,8 +1,8 @@
 // Request-serving front end of `utilrisk serve`.
 //
 // Accepts newline-delimited-JSON admission requests over a Unix-domain or
-// TCP-loopback socket (plus an in-process stdio mode for tests and
-// pipelines) and feeds them to the AdmissionEngine's bounded queue:
+// TCP-loopback socket (plus a stdio mode for tests and pipelines) and
+// feeds them to the AdmissionEngine's bounded queue:
 //
 //   acceptor thread --> reader tasks (exp::ThreadPool) --> bounded queue
 //        |                    |                                 |
@@ -13,6 +13,10 @@
 //                                                   responses to the
 //                                                   connection (mutexed)
 //
+// Socket and stdin lines go through one handle_line, so the size cap,
+// parse errors, `busy` and completions (and their counters) exist once;
+// only the reply sink differs.
+//
 // Lifecycle: start() binds and launches the acceptor; stop_and_drain()
 // stops accepting, lets readers wind down at the next poll tick, drains
 // the engine (every queued request still gets its response — zero dropped
@@ -22,6 +26,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -42,7 +47,6 @@ struct ServerConfig {
   /// Reader tasks run on an exp::ThreadPool of this size; it also caps
   /// the number of concurrently served connections.
   std::size_t io_threads = 4;
-  std::size_t max_line_bytes = kMaxRequestBytes;
   /// Per-connection response buffer cap. Responses queue here when the
   /// peer's socket is full; a client that lets it overflow (not reading
   /// its responses) is disconnected — the engine thread never blocks on a
@@ -58,7 +62,7 @@ struct ServerStats {
   std::uint64_t connections = 0;
   std::uint64_t lines = 0;      ///< request lines read (any fate)
   std::uint64_t malformed = 0;  ///< parse/validation failures
-  std::uint64_t oversized = 0;  ///< lines over max_line_bytes
+  std::uint64_t oversized = 0;  ///< lines over kMaxRequestBytes
   std::uint64_t busy = 0;       ///< backpressure rejections sent
   std::uint64_t responses = 0;  ///< response lines written
   /// Connections force-closed by the slow-client defense (write buffer
@@ -96,22 +100,24 @@ class Server {
   /// Actual TCP port after start() (ephemeral binds resolve here).
   [[nodiscard]] int bound_port() const { return bound_port_; }
 
-  /// Stdio mode: serves requests from `in` until EOF, writes responses to
-  /// `out`, then drains the engine. Single-threaded reads; completions
-  /// still arrive from the engine thread (writes are mutexed). Returns
-  /// the transport stats of the session.
-  static ServerStats run_stdio(EngineApi& engine, std::istream& in,
-                               std::ostream& out,
-                               std::size_t max_line_bytes = kMaxRequestBytes);
+  /// Stdio mode, instead of start(): feeds each line of `in` to the
+  /// socket path's handle_line until EOF, writes responses to `out`, then
+  /// drains the engine. Returns the transport stats of the session.
+  ServerStats run_stdio(std::istream& in, std::ostream& out);
 
  private:
   struct Connection;
+  /// Writes one response line to a client; false when it did not go out.
+  using ReplySink = std::function<bool(const std::string& line)>;
 
   void acceptor_loop();
   void reader_loop(const std::shared_ptr<Connection>& connection);
   /// Parses/validates one line and routes it (engine, busy, or error).
-  void handle_line(const std::shared_ptr<Connection>& connection,
+  /// Completions share `sink`: they may fire after its reader has exited.
+  void handle_line(const std::shared_ptr<const ReplySink>& sink,
                    std::string line);
+  /// Writes one reply to `sink`, counting it when it went out.
+  void reply(const ReplySink& sink, const Response& response);
 
   ServerConfig config_;
   EngineApi& engine_;

@@ -21,12 +21,6 @@ namespace {
   return x ^ (x >> 31);
 }
 
-[[nodiscard]] std::string four_digit(std::size_t value) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%04zu", value);
-  return buf;
-}
-
 }  // namespace
 
 ShardRouter::ShardRouter(std::size_t shard_count)
@@ -56,21 +50,37 @@ std::size_t ShardRouter::shard_for(std::uint64_t routing_key) const {
   return it->second;
 }
 
-std::string shard_journal_dir(const std::string& root,
-                              std::size_t shard_index,
-                              std::size_t shard_count) {
-  // --shards 1 keeps the legacy flat layout so pre-shard journals recover
-  // without a migration.
-  if (shard_count <= 1) return root;
-  return (std::filesystem::path(root) / ("shard-" + four_digit(shard_index)))
-      .string();
+namespace {
+
+/// `<root>/shard-000i`: where shard `shard_index` journals.
+[[nodiscard]] std::string shard_journal_dir(const std::string& root,
+                                            std::size_t shard_index) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "shard-%04zu", shard_index);
+  return (std::filesystem::path(root) / name).string();
 }
 
+/// Validates the journal root before any shard recovers from it, and
+/// writes `shards.meta` when absent. Refuses `journal-*.ndjson` directly
+/// under the root (the flat layout, which recovery would skip) and a
+/// marker recording another shard count: re-routing journalled tenants
+/// onto different shards would silently change their simulation state.
 void check_shard_journal_layout(const std::string& root,
                                 std::size_t shard_count) {
   namespace fs = std::filesystem;
-  const fs::path meta_path = fs::path(root) / "shards.meta";
   std::error_code ec;
+  // Before the marker: older flat journals carry one reading `shards 1`.
+  for (const auto& entry : fs::directory_iterator(root, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("journal-") && name.ends_with(".ndjson")) {
+      throw JournalError("journal " + root + " holds " + name +
+                         " in the flat layout of older --shards 1 servers; "
+                         "recovery reads only " + root +
+                         "/shard-000i and would skip it — point --journal "
+                         "at a fresh directory");
+    }
+  }
+  const fs::path meta_path = fs::path(root) / "shards.meta";
   if (fs::exists(meta_path, ec)) {
     std::ifstream in(meta_path);
     std::size_t recorded = 0;
@@ -89,20 +99,6 @@ void check_shard_journal_layout(const std::string& root,
     }
     return;
   }
-  // No marker: a legacy (pre-shard) flat journal may still be present.
-  // Reopening it sharded would split its request stream across engines.
-  if (shard_count > 1 && fs::exists(root, ec)) {
-    for (const auto& entry : fs::directory_iterator(root, ec)) {
-      const std::string name = entry.path().filename().string();
-      if (name.starts_with("journal-") && name.ends_with(".ndjson")) {
-        throw JournalError(
-            "journal " + root +
-            " holds a flat single-shard segment layout; refusing to reopen "
-            "it with --shards " +
-            std::to_string(shard_count));
-      }
-    }
-  }
   fs::create_directories(root, ec);
   std::ofstream out(meta_path, std::ios::trunc);
   out << "shards " << shard_count << '\n';
@@ -110,6 +106,8 @@ void check_shard_journal_layout(const std::string& root,
     throw JournalError("cannot write shard marker " + meta_path.string());
   }
 }
+
+}  // namespace
 
 ShardedEngine::ShardedEngine(const ShardedEngineConfig& config)
     : router_(config.shards) {
@@ -125,7 +123,7 @@ ShardedEngine::ShardedEngine(const ShardedEngineConfig& config)
     engine_config.shard_index = static_cast<int>(i);
     if (!engine_config.journal_dir.empty()) {
       engine_config.journal_dir =
-          shard_journal_dir(config.engine.journal_dir, i, count);
+          shard_journal_dir(config.engine.journal_dir, i);
     }
     engines_.push_back(std::make_unique<AdmissionEngine>(engine_config));
     const std::string prefix = "serve.shard." + std::to_string(i);
@@ -181,7 +179,6 @@ EngineStats ShardedEngine::drain() {
     merged.batches += stats.batches;
     merged.events_dispatched += stats.events_dispatched;
     merged.shed += stats.shed;
-    merged.brownout += stats.brownout;
     merged.advise_queries += stats.advise_queries;
     merged.advisor_evaluations += stats.advisor_evaluations;
     merged.policy_switches += stats.policy_switches;

@@ -18,11 +18,12 @@
 // digest, which is how the golden/replay harness keeps gating the sharded
 // server (docs/SERVING.md, docs/DETERMINISM.md).
 //
-// Journals: shard i appends under `<journal_dir>/shard-000i` (`--shards 1`
-// keeps the legacy flat layout, so pre-shard journals recover unchanged).
-// A `shards.meta` marker records the shard count; recovery with a
-// different `--shards` refuses to start instead of silently re-routing
-// journalled tenants onto different simulation states.
+// Journals: shard i appends under `<journal_dir>/shard-000i` at every
+// shard count, `--shards 1` included. A `shards.meta` marker records the
+// shard count; recovery with a different `--shards` refuses to start
+// instead of silently re-routing journalled tenants onto different
+// simulation states. Segments directly under the root are the flat layout
+// older `--shards 1` servers wrote; they are refused, never skipped.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +65,9 @@ struct ShardedEngineConfig {
 
 /// N engines behind the router, presenting the single-engine surface
 /// (EngineApi) to the server front end. Construction recovers every
-/// shard's journal (digest-verified, like the single engine) and refuses
-/// on a shard-count mismatch with the journal's `shards.meta`.
+/// shard's journal (digest-verified, like the single engine) and throws
+/// JournalError on a shard-count mismatch with the journal's
+/// `shards.meta` or on flat segments in the journal root.
 class ShardedEngine : public EngineApi {
  public:
   explicit ShardedEngine(const ShardedEngineConfig& config);
@@ -109,19 +111,5 @@ class ShardedEngine : public EngineApi {
   std::vector<obs::Counter*> routed_metrics_;
   std::vector<obs::Gauge*> depth_metrics_;
 };
-
-/// The root-directory journal layout knobs shared by writer and guard.
-[[nodiscard]] std::string shard_journal_dir(const std::string& root,
-                                            std::size_t shard_index,
-                                            std::size_t shard_count);
-
-/// Validates `root` against `shards.meta` (writing it when absent) and
-/// against the physical layout: a flat legacy journal cannot be reopened
-/// sharded, nor a sharded one flat or with a different count. Throws
-/// JournalError on mismatch — re-routing journalled tenants onto
-/// different shards would silently change their simulation state, the
-/// exact cache-collision class PR 4 fixed for `--fail-*` sweep keys.
-void check_shard_journal_layout(const std::string& root,
-                                std::size_t shard_count);
 
 }  // namespace utilrisk::serve

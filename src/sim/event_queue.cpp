@@ -50,14 +50,14 @@ void EventQueue::recycle(detail::EventRecord* rec) {
 
 EventHandle EventQueue::push(SimTime time, EventAction action) {
   check_pushable(time, action);
-  detail::EventRecord* rec = insert(time, next_seq_++, std::move(action));
+  detail::EventRecord* rec = insert(time, next_sequence_++, std::move(action));
   return EventHandle{std::weak_ptr<std::size_t>(live_), rec, rec->generation};
 }
 
 void EventQueue::push_reserved(SimTime time, EventSequence seq,
                                EventAction action) {
   check_pushable(time, action);
-  assert(seq < next_seq_);
+  assert(seq < next_sequence_);
   insert(time, seq, std::move(action));
 }
 
@@ -91,7 +91,7 @@ bool EventQueue::reschedule(const EventHandle& handle, SimTime time) {
     return false;
   }
   rec->time = time;
-  rec->seq = next_seq_++;
+  rec->seq = next_sequence_++;
   const std::size_t pos = rec->heap_pos;
   heap_[pos].time = time;
   heap_[pos].seq = rec->seq;

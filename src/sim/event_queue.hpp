@@ -47,8 +47,8 @@ class EventQueue {
   /// events out of the queue until they are due while they keep the
   /// (time, seq) keys n consecutive pushes would have given them.
   EventSequence reserve_sequences(std::size_t n) {
-    const EventSequence first = next_seq_;
-    next_seq_ += n;
+    const EventSequence first = next_sequence_;
+    next_sequence_ += n;
     return first;
   }
 
@@ -108,7 +108,7 @@ class EventQueue {
   /// Live-event counter, shared (weakly) with handles: expiry doubles as
   /// the "queue still alive" token for handles that outlive the queue.
   std::shared_ptr<std::size_t> live_;
-  EventSequence next_seq_ = 0;
+  EventSequence next_sequence_ = 0;
 };
 
 }  // namespace utilrisk::sim

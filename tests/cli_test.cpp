@@ -111,10 +111,51 @@ TEST(ArgParserTest, TypedAccessValidates) {
   ArgParser parser = make_parser();
   parser.parse({"--needed", "v", "--jobs", "12.5"});
   EXPECT_THROW((void)parser.get_int("jobs", 1), ArgError);
-  EXPECT_DOUBLE_EQ(parser.get_double("jobs"), 12.5);
+  EXPECT_DOUBLE_EQ(parser.get_double("jobs", 0), 12.5);
   ArgParser parser2 = make_parser();
   parser2.parse({"--needed", "v", "--jobs", "abc"});
-  EXPECT_THROW((void)parser2.get_double("jobs"), ArgError);
+  EXPECT_THROW((void)parser2.get_double("jobs", 0), ArgError);
+}
+
+/// The ArgError message of get_double(name, min, max) on `value`, or ""
+/// when it does not throw.
+std::string double_error(const std::string& value, double min,
+                         double max = std::numeric_limits<double>::max()) {
+  ArgParser parser = make_parser();
+  parser.parse({"--needed", "v", "--jobs", value});
+  try {
+    (void)parser.get_double("jobs", min, max);
+  } catch (const ArgError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ArgParserTest, DoubleRangeIsInclusive) {
+  EXPECT_EQ(double_error("0", 0, 100), "");
+  EXPECT_EQ(double_error("100", 0, 100), "");
+  EXPECT_EQ(double_error("0.001", 0.001, 86400), "");
+  EXPECT_EQ(double_error("1e300", 0), "");
+}
+
+TEST(ArgParserTest, OutOfRangeDoubleNamesTheOptionAndRange) {
+  EXPECT_EQ(double_error("100.5", 0, 100),
+            "option --jobs: 100.5 is out of range [0, 100]");
+  EXPECT_EQ(double_error("0", 0.001, 86400),
+            "option --jobs: 0 is out of range [0.001, 86400]");
+  EXPECT_EQ(double_error("-1", 0),
+            "option --jobs: -1 is out of range (must be >= 0)");
+  EXPECT_EQ(double_error("12x", 0), "option --jobs: '12x' is not a number");
+}
+
+TEST(ArgParserTest, NonFiniteDoubleIsOutOfRange) {
+  // std::from_chars reads these; none may reach a config field.
+  for (const std::string value :
+       {"nan", "-nan", "NaN", "inf", "-inf", "infinity", "1e999", "-1e999"}) {
+    EXPECT_EQ(double_error(value, -1000, 1000),
+              "option --jobs: " + value + " is out of range [-1000, 1000]");
+    EXPECT_NE(double_error(value, 0), "") << value;
+  }
 }
 
 /// The ArgError message of get_int(name, min, max) on `value`, or "" when

@@ -2,9 +2,10 @@
 // backpressure, engine determinism, stdio/socket serving, the
 // drain-on-shutdown zero-dropped-responses guarantee, the write-ahead
 // admission journal with deterministic crash recovery, and the overload
-// (shed/brownout) and slow-client defenses.
+// (busy/shed) and slow-client defenses.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -22,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/bounded_queue.hpp"
 #include "serve/engine.hpp"
 #include "serve/journal.hpp"
@@ -344,14 +346,14 @@ TEST(StdioServerTest, AnswersEveryLineAndCountsFailures) {
   EngineConfig config;
   AdmissionEngine engine(config);
   engine.start();
+  Server server(ServerConfig{}, engine);
 
-  std::string oversized(300, 'x');
+  std::string oversized(kMaxRequestBytes + 1, 'x');
   std::istringstream in(encode_request(make_request(1, 0.0)) + "\n" +
                         "not json\n" + oversized + "\n" +
                         encode_request(make_request(2, 5.0)) + "\n");
   std::ostringstream out;
-  const ServerStats stats =
-      Server::run_stdio(engine, in, out, /*max_line_bytes=*/256);
+  const ServerStats stats = server.run_stdio(in, out);
 
   EXPECT_EQ(stats.lines, 4u);
   EXPECT_EQ(stats.malformed, 1u);
@@ -531,6 +533,7 @@ TEST(StdioServerTest, HostileLinesGetErrorResponsesAndServerSurvives) {
   EngineConfig config;
   AdmissionEngine engine(config);
   engine.start();
+  Server server(ServerConfig{}, engine);
 
   // The once-fatal non-string urgency, raw bytes, deep nesting — then a
   // valid request. The server must answer all four and stay up.
@@ -541,7 +544,7 @@ TEST(StdioServerTest, HostileLinesGetErrorResponsesAndServerSurvives) {
       "\xff\xfe not even text\n" + deep + "\n" +
       encode_request(make_request(5, 1.0)) + "\n");
   std::ostringstream out;
-  const ServerStats stats = Server::run_stdio(engine, in, out);
+  const ServerStats stats = server.run_stdio(in, out);
 
   EXPECT_EQ(stats.lines, 4u);
   EXPECT_EQ(stats.malformed, 3u);
@@ -567,6 +570,16 @@ TEST(StdioServerTest, HostileLinesGetErrorResponsesAndServerSurvives) {
   std::filesystem::remove_all(dir);
   return dir.string();
 }
+
+/// A sealed segment exactly as older servers wrote it: every record
+/// carries a `seq` field the parser never read. Two requests of the
+/// default engine, one tick, one seal.
+constexpr const char* kFlatSegmentWithSeq =
+    R"({"type":"req","seq":1,"req":{"type":"submit","id":1,"t":0,"procs":4,"runtime":100,"estimate":100,"deadline":4000,"budget":50000,"penalty":0,"urgency":"low"},"chk":"02dd2904f495215b"}
+{"type":"req","seq":2,"req":{"type":"submit","id":2,"t":5,"procs":4,"runtime":100,"estimate":100,"deadline":4000,"budget":50000,"penalty":0,"urgency":"low"},"chk":"bf2dab677df03d1a"}
+{"type":"tick","seq":3,"processed":2,"digest":"9ef3114948d58614","chk":"401163483bd6bff3"}
+{"type":"seal","records":3,"digest":"408f766d6928a0e7","chk":"c735e906f9f866c7"}
+)";
 
 TEST(JournalTest, FsyncPolicyParsesAndRoundTrips) {
   for (const FsyncPolicy policy :
@@ -628,6 +641,30 @@ TEST(JournalTest, RotatesAndPreservesOrderAcrossSegments) {
   EXPECT_EQ(recovered.last_tick_processed, 10u);
 }
 
+TEST(JournalTest, LoadsSegmentsWrittenWithTheRetiredSeqField) {
+  const std::filesystem::path dir = fresh_dir("journal_seq");
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir / "journal-00000001.ndjson") << kFlatSegmentWithSeq;
+
+  const RecoveredJournal recovered = load_journal(dir.string());
+  ASSERT_EQ(recovered.requests.size(), 2u);
+  EXPECT_EQ(recovered.requests[0].id, 1u);
+  EXPECT_EQ(recovered.requests[1].id, 2u);
+  EXPECT_EQ(recovered.last_tick_processed, 2u);
+  EXPECT_EQ(recovered.last_tick_digest, "9ef3114948d58614");
+  EXPECT_EQ(recovered.sealed_segments, 1u) << "the seal still verifies";
+  EXPECT_EQ(recovered.truncated_records, 0u);
+
+  // And it replays to the digest its writer recorded.
+  EngineConfig config;
+  config.journal_dir = dir.string();
+  config.fsync = FsyncPolicy::None;
+  AdmissionEngine engine(config);
+  EXPECT_EQ(engine.recovery().replayed, 2u);
+  EXPECT_TRUE(engine.recovery().digest_match);
+  EXPECT_EQ(engine.recovery().replayed_digest, "9ef3114948d58614");
+}
+
 TEST(JournalTest, TornTailIsDetectedAndPhysicallyTruncated) {
   const std::string dir = fresh_dir("journal_torn");
   JournalConfig config;
@@ -646,7 +683,7 @@ TEST(JournalTest, TornTailIsDetectedAndPhysicallyTruncated) {
   const auto intact_size = std::filesystem::file_size(segment);
   {
     std::ofstream out(segment, std::ios::app | std::ios::binary);
-    out << "{\"type\":\"req\",\"seq\":99,\"req\":{\"type\":\"sub";
+    out << "{\"type\":\"req\",\"req\":{\"type\":\"sub";
   }
 
   const RecoveredJournal recovered = load_journal(dir);
@@ -798,7 +835,7 @@ TEST(AdmissionEngineTest, RecoveryThenNewTrafficExtendsTheJournal) {
   EXPECT_TRUE(third.recovery().digest_match);
 }
 
-// ---------------------------------------------------------- shed / brownout
+// -------------------------------------------------------------- shed / busy
 
 TEST(AdmissionEngineTest, ExpiredDeadlineIsShedWithoutDigestPollution) {
   EngineConfig config;
@@ -829,9 +866,12 @@ TEST(AdmissionEngineTest, ExpiredDeadlineIsShedWithoutDigestPollution) {
 }
 
 TEST(AdmissionEngineTest, BrownoutFastFailsAboveWatermark) {
+  // Queue capacity is the one depth cap: what a high watermark F over a
+  // capacity C used to do is a capacity of floor(F x C), here 0.5 x 8.
+  obs::MetricsRegistry registry(/*enabled=*/true);
   EngineConfig config;
-  config.queue_capacity = 8;
-  config.brownout_watermark = 0.5;  // fast-fail at queue depth 4
+  config.queue_capacity = 4;
+  config.metrics = &registry;
   AdmissionEngine engine(config);
   engine.start();
   engine.pause();
@@ -844,9 +884,10 @@ TEST(AdmissionEngineTest, BrownoutFastFailsAboveWatermark) {
       ++queued;
     }
   }
-  EXPECT_EQ(queued, 4u) << "the watermark, not capacity, is the limit";
+  EXPECT_EQ(queued, 4u) << "capacity is the limit";
+  EXPECT_EQ(registry.snapshot().counter("serve.busy"), 4u)
+      << "every refused submit is counted busy";
   const EngineStats stats = engine.drain();
-  EXPECT_EQ(stats.brownout, 4u);
   EXPECT_EQ(stats.processed, 4u);
   EXPECT_EQ(completions.load(), 4);
 }
@@ -1163,14 +1204,16 @@ TEST(ShardedEngineTest, MergedDigestInvariantUnderInterleaving) {
   EXPECT_EQ(original.accepted, reordered.accepted);
 }
 
-TEST(ShardedEngineTest, JournalRecoveryWithTwoShardsReproducesDigest) {
-  const std::string dir = fresh_dir("sharded_recovery");
+/// Journals a tenant stream through `shards` shards, then recovers it in a
+/// new ShardedEngine: every shard journals under its own subdirectory and
+/// the recovery reproduces the merged digest — the kill-9 contract.
+void expect_sharded_recovery(std::size_t shards, const std::string& dir) {
   const std::vector<Request> stream = make_tenant_stream(60, 5);
 
   ShardedEngineConfig config;
   config.engine.journal_dir = dir;
   config.engine.fsync = FsyncPolicy::None;
-  config.shards = 2;
+  config.shards = shards;
 
   std::string first_digest;
   {
@@ -1185,15 +1228,19 @@ TEST(ShardedEngineTest, JournalRecoveryWithTwoShardsReproducesDigest) {
     const EngineStats stats = engine.drain();
     first_digest = stats.decision_digest;
     EXPECT_EQ(engine.journal_stats().requests, 60u);
-    // Both shards actually journal: the layout is real, not one flat dir.
-    EXPECT_TRUE(std::filesystem::exists(
-        std::filesystem::path(dir) / "shard-0000"));
-    EXPECT_TRUE(std::filesystem::exists(
-        std::filesystem::path(dir) / "shard-0001"));
   }
+  // One layout at every shard count: the marker and shard-000i, nothing
+  // flat in the root.
+  std::set<std::string> entries;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    entries.insert(entry.path().filename().string());
+  }
+  std::set<std::string> expected = {"shards.meta"};
+  for (std::size_t i = 0; i < shards; ++i) {
+    expected.insert("shard-000" + std::to_string(i));
+  }
+  EXPECT_EQ(entries, expected);
 
-  // A new sharded engine over the same journal root replays every shard
-  // and reproduces the merged digest — the kill-9 recovery contract.
   ShardedEngine recovered(config);
   const RecoveryStats recovery = recovered.recovery();
   EXPECT_TRUE(recovery.attempted);
@@ -1203,6 +1250,14 @@ TEST(ShardedEngineTest, JournalRecoveryWithTwoShardsReproducesDigest) {
   const EngineStats stats = recovered.drain();
   EXPECT_EQ(stats.decision_digest, first_digest);
   EXPECT_EQ(stats.processed, 60u);
+}
+
+TEST(ShardedEngineTest, JournalRecoveryWithTwoShardsReproducesDigest) {
+  expect_sharded_recovery(2, fresh_dir("sharded_recovery"));
+}
+
+TEST(ShardedEngineTest, JournalRecoveryWithOneShardReproducesDigest) {
+  expect_sharded_recovery(1, fresh_dir("sharded_recovery_one"));
 }
 
 TEST(ShardedEngineTest, RefusesShardCountMismatchOnRecovery) {
@@ -1234,24 +1289,47 @@ TEST(ShardedEngineTest, RefusesToShardAFlatLegacyJournal) {
   flat.journal_dir = dir;
   flat.fsync = FsyncPolicy::None;
   {
-    AdmissionEngine engine(flat);
+    AdmissionEngine engine(flat);  // segments straight into the root
     engine.start();
     while (!engine.submit(make_request(1, 0.0), [](const Response&) {})) {
       std::this_thread::yield();
     }
     (void)engine.drain();
   }
-  ShardedEngineConfig sharded;
-  sharded.engine = flat;
-  sharded.shards = 4;
-  EXPECT_THROW((void)ShardedEngine(sharded), JournalError)
-      << "a flat pre-shard journal cannot be reopened sharded";
-  // But shards=1 keeps the legacy layout and recovers it unchanged.
-  ShardedEngineConfig compatible;
-  compatible.engine = flat;
-  compatible.shards = 1;
-  ShardedEngine engine(compatible);
-  EXPECT_EQ(engine.recovery().replayed, 1u);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    ShardedEngineConfig sharded;
+    sharded.engine = flat;
+    sharded.shards = shards;
+    EXPECT_THROW((void)ShardedEngine(sharded), JournalError)
+        << "recovery reads only shard-000i, so a flat journal is refused "
+        << "at --shards " << shards << " instead of skipped";
+  }
+  EXPECT_FALSE(std::filesystem::exists(std::filesystem::path(dir) /
+                                       "shards.meta"))
+      << "a refused root is left as it was found";
+}
+
+TEST(ShardedEngineTest, RefusesAFlatJournalBesideAOneShardMarker) {
+  // What older `--shards 1` servers left: flat segments plus a marker
+  // reading `shards 1`. A marker-only check would accept the count, start
+  // and silently skip the segments.
+  const std::filesystem::path dir = fresh_dir("sharded_flat_marker");
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir / "journal-00000001.ndjson") << kFlatSegmentWithSeq;
+  std::ofstream(dir / "shards.meta") << "shards 1\n";
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    ShardedEngineConfig config;
+    config.engine.journal_dir = dir.string();
+    config.engine.fsync = FsyncPolicy::None;
+    config.shards = shards;
+    try {
+      ShardedEngine engine(config);
+      ADD_FAILURE() << "started on a flat journal at --shards " << shards;
+    } catch (const JournalError& e) {
+      EXPECT_NE(std::string(e.what()).find("flat layout"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(LoadgenTest, BusyRetryHonorsServerHint) {
@@ -1327,6 +1405,77 @@ TEST(LoadgenTest, FanOutConnectionsReproduceTheMergedDigest) {
   EXPECT_EQ(report.dropped, 0u);
   EXPECT_EQ(report.decision_digest, stats.decision_digest)
       << "client-merged digest == server-merged digest across fan-out";
+}
+
+/// A Unix-socket peer that answers every line it reads with `not json`.
+class NotJsonPeer {
+ public:
+  explicit NotJsonPeer(const std::string& path) : path_(path) {
+    ::unlink(path.c_str());  // a socket file left by an earlier run
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    EXPECT_EQ(::listen(listen_fd_, 4), 0);
+    thread_ = std::thread([this] { serve(); });
+  }
+  ~NotJsonPeer() {
+    stop_.store(true);
+    thread_.join();
+    ::close(listen_fd_);
+    ::unlink(path_.c_str());
+  }
+
+ private:
+  void serve() {
+    while (!stop_.load()) {
+      pollfd pfd{listen_fd_, POLLIN, 0};
+      if (::poll(&pfd, 1, 20) <= 0) continue;
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) continue;
+      char chunk[4096];
+      for (ssize_t n; (n = ::read(fd, chunk, sizeof(chunk))) > 0;) {
+        for (ssize_t i = 0; i < n; ++i) {
+          if (chunk[i] == '\n') (void)::send(fd, "not json\n", 9, 0);
+        }
+      }
+      ::close(fd);  // the client hung up
+    }
+  }
+
+  std::string path_;
+  int listen_fd_ = -1;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+TEST(LoadgenTest, UnreadableRepliesAreBookedAsErrors) {
+  const std::string socket_path = fresh_dir("not_json") + ".sock";
+  NotJsonPeer peer(socket_path);
+  LoadgenConfig load;
+  load.unix_path = socket_path;
+  load.requests = 20;
+  load.idle_timeout_seconds = 0.3;
+
+  // Closed loop: each unreadable line answers the request in flight.
+  const LoadgenReport closed = run_loadgen(load);
+  EXPECT_EQ(closed.sent, 20u);
+  EXPECT_EQ(closed.responses, 20u);
+  EXPECT_EQ(closed.errors, 20u);
+  EXPECT_EQ(closed.dropped, 0u);
+
+  // Open loop: an unreadable line carries no id, so every request stays
+  // pending and drops at the idle timeout.
+  load.open_loop = true;
+  load.rate = 10000.0;
+  const LoadgenReport open = run_loadgen(load);
+  EXPECT_EQ(open.sent, 20u);
+  EXPECT_EQ(open.errors, 20u);
+  EXPECT_EQ(open.dropped, 20u);
+  EXPECT_EQ(open.read_timeouts, 1u);
 }
 
 // ------------------------------------------------------------ advise verb

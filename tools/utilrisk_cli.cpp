@@ -80,6 +80,18 @@ std::uint64_t get_seed(const cli::ArgParser& parser, const std::string& name) {
 
 constexpr long kMaxPort = 65535;
 
+/// `--adf`: the factor on inter-arrival gaps (Table VI spans 0.02 to 1).
+double get_adf(const cli::ArgParser& parser) {
+  return parser.get_double("adf", 0.001, 1000);
+}
+
+/// `--fail-mtbf`: seconds, or the literal `inf` for no failures.
+double get_mtbf(const cli::ArgParser& parser) {
+  return parser.get("fail-mtbf") == "inf"
+             ? std::numeric_limits<double>::infinity()
+             : parser.get_double("fail-mtbf", 1);
+}
+
 economy::EconomicModel parse_model(const std::string& name) {
   if (name == "commodity") return economy::EconomicModel::CommodityMarket;
   if (name == "bid") return economy::EconomicModel::BidBased;
@@ -192,14 +204,14 @@ int cmd_simulate(cli::CommandContext& ctx) {
     rconfig.policy = policy::parse_policy_kind(parser.get("policy"));
     rconfig.model = parse_model(parser.get("model"));
     rconfig.trace.job_count = get_count(parser, "jobs");
-    rconfig.settings.high_urgency_percent = parser.get_double("urgency");
-    rconfig.settings.arrival_delay_factor = parser.get_double("adf");
-    rconfig.settings.inaccuracy_percent = parser.get_double("inaccuracy");
-    rconfig.settings.failure.mtbf_seconds =
-        parser.get("fail-mtbf") == "inf"
-            ? std::numeric_limits<double>::infinity()
-            : parser.get_double("fail-mtbf");
-    rconfig.settings.failure.mttr_seconds = parser.get_double("fail-mttr");
+    rconfig.settings.high_urgency_percent =
+        parser.get_double("urgency", 0, 100);
+    rconfig.settings.arrival_delay_factor = get_adf(parser);
+    rconfig.settings.inaccuracy_percent =
+        parser.get_double("inaccuracy", 0, 100);
+    rconfig.settings.failure.mtbf_seconds = get_mtbf(parser);
+    rconfig.settings.failure.mttr_seconds =
+        parser.get_double("fail-mttr", 1);
     rconfig.settings.failure.seed = get_seed(parser, "fail-seed");
     rconfig.settings.recovery.retry_limit = static_cast<std::uint32_t>(
         parser.get_int("retry-limit", 0,
@@ -228,18 +240,15 @@ int cmd_simulate(cli::CommandContext& ctx) {
   const workload::WorkloadBuilder builder(
       make_trace(parser.get("generator"), get_count(parser, "jobs"), seed));
   workload::QosConfig qos;
-  qos.high_urgency_percent = parser.get_double("urgency");
-  const auto jobs = builder.build(qos, parser.get_double("adf"),
-                                  parser.get_double("inaccuracy"));
+  qos.high_urgency_percent = parser.get_double("urgency", 0, 100);
+  const auto jobs = builder.build(qos, get_adf(parser),
+                                  parser.get_double("inaccuracy", 0, 100));
 
   policy::PolicyContext context;
   context.machine.node_count = get_count(parser, "nodes");
   context.model = parse_model(parser.get("model"));
-  context.failure.mtbf_seconds =
-      parser.get("fail-mtbf") == "inf"
-          ? std::numeric_limits<double>::infinity()
-          : parser.get_double("fail-mtbf");
-  context.failure.mttr_seconds = parser.get_double("fail-mttr");
+  context.failure.mtbf_seconds = get_mtbf(parser);
+  context.failure.mttr_seconds = parser.get_double("fail-mttr", 1);
   context.failure.seed = get_seed(parser, "fail-seed");
   context.recovery.retry_limit = static_cast<std::uint32_t>(parser.get_int(
       "retry-limit", 0, std::numeric_limits<std::uint32_t>::max()));
@@ -528,7 +537,7 @@ int cmd_advise(cli::CommandContext& ctx) {
   try {
     advisor.objective_weights =
         core::AdvisorConfig::parse_weights(parser.get("weights"));
-    advisor.risk_aversion = parser.get_double("risk-aversion");
+    advisor.risk_aversion = parser.get_double("risk-aversion", 0);
     advisor.validate();
   } catch (const std::invalid_argument& e) {
     throw cli::ArgError(e.what());
@@ -612,11 +621,10 @@ void declare_serve(cli::ArgParser& parser) {
                 "order-independent merge of the per-shard digests",
                 "1");
   parser.option("journal", "DIR",
-                "write-ahead admission journal directory (per-shard "
-                "segment subdirectories under --shards > 1); on startup "
-                "any surviving journal is replayed (deterministic crash "
-                "recovery, digest-verified) — the shard count must match "
-                "the journal's");
+                "write-ahead admission journal directory (shard i journals "
+                "under DIR/shard-000i); on startup any surviving journal is "
+                "replayed (deterministic crash recovery, digest-verified) — "
+                "the shard count must match the journal's");
   parser.option("fsync", "POLICY",
                 "journal durability: none | batch (fsync per tick) | "
                 "always (fsync per record)",
@@ -627,10 +635,6 @@ void declare_serve(cli::ArgParser& parser) {
                 "max time (under --fsync batch) completions wait so one "
                 "fsync covers several ticks while backlog persists",
                 "8");
-  parser.option("brownout-watermark", "F",
-                "queue-depth fraction above which submissions fast-fail "
-                "with busy/retry-after (1.0 = off)",
-                "1.0");
   parser.option("write-buffer-bytes", "N",
                 "per-connection response buffer cap; an overflowing "
                 "(non-reading) client is disconnected",
@@ -670,7 +674,7 @@ serve::EngineConfig engine_config_from(const cli::CommandContext& ctx) {
   config.queue_capacity =
       static_cast<std::size_t>(parser.get_int("queue-capacity", 1));
   config.max_batch = static_cast<std::size_t>(parser.get_int("max-batch", 1));
-  config.retry_after_ms = parser.get_double("retry-after-ms");
+  config.retry_after_ms = parser.get_double("retry-after-ms", 0);
   if (parser.has("journal")) config.journal_dir = parser.get("journal");
   try {
     config.fsync = serve::parse_fsync_policy(parser.get("fsync"));
@@ -679,14 +683,7 @@ serve::EngineConfig engine_config_from(const cli::CommandContext& ctx) {
   }
   config.journal_segment_records =
       static_cast<std::size_t>(parser.get_int("segment-records", 1));
-  config.group_commit_ms = parser.get_double("group-commit-ms");
-  if (config.group_commit_ms < 0.0) {
-    throw cli::ArgError("--group-commit-ms must be >= 0");
-  }
-  config.brownout_watermark = parser.get_double("brownout-watermark");
-  if (config.brownout_watermark <= 0.0 || config.brownout_watermark > 1.0) {
-    throw cli::ArgError("--brownout-watermark must be in (0, 1]");
-  }
+  config.group_commit_ms = parser.get_double("group-commit-ms", 0);
   config.advisor.auto_switch = parser.get_flag("advise-auto");
   config.advisor.advise_every =
       static_cast<std::uint64_t>(parser.get_int("advise-every", 0));
@@ -696,7 +693,7 @@ serve::EngineConfig engine_config_from(const cli::CommandContext& ctx) {
     config.advisor.scoring.objective_weights =
         core::AdvisorConfig::parse_weights(parser.get("advise-weights"));
     config.advisor.scoring.risk_aversion =
-        parser.get_double("advise-risk-aversion");
+        parser.get_double("advise-risk-aversion", 0);
     config.advisor.validate();
   } catch (const std::invalid_argument& e) {
     throw cli::ArgError(e.what());
@@ -716,7 +713,6 @@ void report_session(cli::CommandContext& ctx, std::ostream& out,
       << "rejected:     " << engine_stats.rejected << '\n'
       << "busy:         " << server_stats.busy << '\n'
       << "shed:         " << engine_stats.shed << '\n'
-      << "brownout:     " << engine_stats.brownout << '\n'
       << "malformed:    " << server_stats.malformed << '\n'
       << "oversized:    " << server_stats.oversized << '\n'
       << "stalled:      " << server_stats.stalled << '\n'
@@ -759,7 +755,6 @@ void report_session(cli::CommandContext& ctx, std::ostream& out,
       {"rejected", static_cast<double>(engine_stats.rejected)},
       {"busy", static_cast<double>(server_stats.busy)},
       {"shed", static_cast<double>(engine_stats.shed)},
-      {"brownout", static_cast<double>(engine_stats.brownout)},
       {"malformed", static_cast<double>(server_stats.malformed)},
       {"oversized", static_cast<double>(server_stats.oversized)},
       {"stalled", static_cast<double>(server_stats.stalled)},
@@ -796,6 +791,19 @@ int cmd_serve(cli::CommandContext& ctx) {
         "serve needs exactly one of --socket PATH, --port N or --stdio");
   }
 
+  serve::ServerConfig server_config;
+  if (socket) {
+    server_config.unix_path = parser.get("socket");
+  } else if (tcp) {
+    server_config.tcp_port =
+        static_cast<int>(parser.get_int("port", 0, kMaxPort));
+  }
+  server_config.io_threads =
+      static_cast<std::size_t>(parser.get_int("io-threads", 1));
+  server_config.write_buffer_bytes =
+      static_cast<std::size_t>(parser.get_int("write-buffer-bytes", 1024));
+  server_config.write_stall_ms = parser.get_double("write-stall-ms", 1);
+
   serve::ShardedEngineConfig sharded_config;
   sharded_config.engine = engine_config_from(ctx);
   sharded_config.shards =
@@ -808,32 +816,16 @@ int cmd_serve(cli::CommandContext& ctx) {
               << recovery.replayed_digest << "]" << std::endl;
   }
   engine.start();
+  serve::Server server(server_config, engine);
 
   if (stdio) {
     // Protocol on stdout; the human-facing summary goes to stderr.
     const serve::ServerStats server_stats =
-        serve::Server::run_stdio(engine, std::cin, std::cout);
+        server.run_stdio(std::cin, std::cout);
     report_session(ctx, std::cerr, engine, engine.drain(), server_stats);
     return 0;
   }
 
-  serve::ServerConfig server_config;
-  if (socket) {
-    server_config.unix_path = parser.get("socket");
-  } else {
-    server_config.tcp_port =
-        static_cast<int>(parser.get_int("port", 0, kMaxPort));
-  }
-  server_config.io_threads =
-      static_cast<std::size_t>(parser.get_int("io-threads", 1));
-  server_config.write_buffer_bytes =
-      static_cast<std::size_t>(parser.get_int("write-buffer-bytes", 1024));
-  server_config.write_stall_ms = parser.get_double("write-stall-ms");
-  if (server_config.write_stall_ms <= 0.0) {
-    throw cli::ArgError("--write-stall-ms must be > 0");
-  }
-
-  serve::Server server(server_config, engine);
   server.start();
   if (socket) {
     std::cout << "[serving on " << server_config.unix_path << "]"
@@ -930,28 +922,23 @@ int cmd_loadgen(cli::CommandContext& ctx) {
   if (parser.has("workload")) config.workload = parser.get("workload");
   if (parser.has("mix-shift")) config.mix_shift = parser.get("mix-shift");
   config.open_loop = parser.get_flag("open-loop");
-  config.rate = parser.get_double("rate");
+  config.rate = parser.get_double("rate", 0);
   config.connections =
       static_cast<std::size_t>(parser.get_int("connections", 1));
   config.busy_retries =
       static_cast<std::size_t>(parser.get_int("busy-retries", 0));
-  config.retry_interval_ms = parser.get_double("retry-interval-ms");
-  if (config.retry_interval_ms < 0.0) {
-    throw cli::ArgError("--retry-interval-ms must be >= 0");
-  }
-  config.high_urgency_percent = parser.get_double("urgency");
-  config.arrival_delay_factor = parser.get_double("adf");
-  config.inaccuracy_percent = parser.get_double("inaccuracy");
-  config.idle_timeout_seconds = parser.get_double("timeout");
-  config.deadline_ms = parser.get_double("deadline-ms");
-  if (config.deadline_ms < 0.0) {
-    throw cli::ArgError("--deadline-ms must be >= 0");
-  }
+  config.retry_interval_ms = parser.get_double("retry-interval-ms", 0);
+  config.high_urgency_percent = parser.get_double("urgency", 0, 100);
+  config.arrival_delay_factor = get_adf(parser);
+  config.inaccuracy_percent = parser.get_double("inaccuracy", 0, 100);
+  // poll() takes whole milliseconds in an int; a day of silence is plenty.
+  config.idle_timeout_seconds = parser.get_double("timeout", 0.001, 86400);
+  config.deadline_ms = parser.get_double("deadline-ms", 0);
 
   if (parser.get_flag("chaos")) {
     config.chaos_connections =
         static_cast<std::size_t>(parser.get_int("chaos-connections", 0));
-    config.chaos_duration_seconds = parser.get_double("duration");
+    config.chaos_duration_seconds = parser.get_double("duration", 0);
     const serve::ChaosReport chaos = serve::run_chaos(config);
     std::cout << "mode:         chaos\n"
               << "connections:  " << chaos.connections << '\n'
