@@ -19,22 +19,18 @@ constexpr double kWorkEpsilon = 1e-6;
 
 TimeSharedCluster::TimeSharedCluster(sim::Simulator& simulator,
                                      MachineConfig machine)
-    : Entity(simulator, "time-shared-cluster"), machine_(machine) {
+    : Entity(simulator, "time-shared-cluster"),
+      machine_(machine),
+      share_index_(machine.node_count) {
   machine_.validate();
   nodes_.resize(machine_.node_count);
   down_.assign(machine_.node_count, 0);
   ever_tasked_flag_.assign(machine_.node_count, 0);
-  share_iters_.reserve(machine_.node_count);
-  for (NodeId id = 0; id < machine_.node_count; ++id) {
-    share_iters_.push_back(share_index_.insert(ShareEntry{0.0, id}).first);
-  }
 }
 
 void TimeSharedCluster::share_index_update(NodeId id) {
   if (down_[id] != 0) return;
-  auto entry = share_index_.extract(share_iters_[id]);
-  entry.value().committed = nodes_[id].total_share;
-  share_iters_[id] = share_index_.insert(std::move(entry)).position;
+  share_index_.update(id, nodes_[id].total_share);
 }
 
 double TimeSharedCluster::committed_share(NodeId node) const {
@@ -136,7 +132,9 @@ void TimeSharedCluster::reschedule(NodeState& node, NodeId id) {
   }
   const double delay = std::max(0.0, min_dt);
   // A move takes the next sequence number, as cancel + push would, so
-  // the dispatch order is the same either way.
+  // the dispatch order is the same either way. The node's own event, while
+  // it is being dispatched, re-arms in place the same way; a new event is
+  // pushed only when the node was idle.
   if (!simulator().reschedule_in(node.next_completion, delay)) {
     node.next_completion =
         after(delay, [this, id] { handle_node_event(id); });
@@ -236,7 +234,7 @@ std::vector<FailureKill> TimeSharedCluster::node_down(NodeId id) {
   if (down_[id] != 0) {
     throw std::logic_error("TimeSharedCluster::node_down: node already down");
   }
-  share_index_.erase(share_iters_[id]);
+  share_index_.erase(id);
   down_[id] = 1;
   ++down_count_;
   NodeState& node = nodes_[id];
@@ -275,8 +273,7 @@ void TimeSharedCluster::node_up(NodeId id) {
   // The node hosted no tasks while down; restart its integration clock so
   // the idle window never counts as progress.
   nodes_[id].last_integrated = now();
-  share_iters_[id] =
-      share_index_.insert(ShareEntry{nodes_[id].total_share, id}).first;
+  share_index_.insert(id, nodes_[id].total_share);
 }
 
 bool TimeSharedCluster::is_up(NodeId id) const {

@@ -18,10 +18,12 @@
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/failure.hpp"
 #include "cluster/node.hpp"
+#include "cluster/share_index.hpp"
 #include "sim/entity.hpp"
 #include "workload/job.hpp"
 
@@ -137,16 +139,8 @@ class TimeSharedCluster : public sim::Entity {
   template <typename Visit>
   void for_each_up_node_best_fit(double max_committed_bound,
                                  Visit&& visit) const {
-    // Entries above the bound sort strictly before this probe; entries at
-    // exactly the bound are still visited (callers pass a conservative
-    // bound, so the boundary is never load-bearing).
-    ShareEntry probe;
-    probe.committed = max_committed_bound;
-    probe.id = 0;
-    for (auto it = share_index_.lower_bound(probe);
-         it != share_index_.end(); ++it) {
-      if (!visit(it->id, it->committed)) return;
-    }
+    share_index_.for_each_from(max_committed_bound,
+                               std::forward<Visit>(visit));
   }
 
   /// Share-capacity headroom tolerance: admission comparisons use this to
@@ -180,22 +174,11 @@ class TimeSharedCluster : public sim::Entity {
     std::vector<NodeId> nodes;
   };
 
-  /// Share-index entry ordered best-fit first: committed share
-  /// descending, node id ascending (Libra's selection order).
-  struct ShareEntry {
-    double committed = 0.0;
-    NodeId id = 0;
-
-    bool operator<(const ShareEntry& other) const {
-      if (committed != other.committed) return committed > other.committed;
-      return id < other.id;
-    }
-  };
-
   void integrate(NodeState& node);
   /// Points the node's completion event at its earliest task finish:
-  /// moves the pending event in place (no allocation, no tombstone) and
-  /// schedules a new one only when none is pending.
+  /// moves the pending event in place (no allocation, no tombstone), or
+  /// re-arms it when it is the event being dispatched, and schedules a new
+  /// one only when the node was idle.
   void reschedule(NodeState& node, NodeId id);
   void handle_node_event(NodeId id);
   void task_finished(workload::JobId job);
@@ -204,8 +187,7 @@ class TimeSharedCluster : public sim::Entity {
   /// hosts no tasks).
   double remove_job_tasks(workload::JobId job,
                           const std::vector<NodeId>& hosting);
-  /// Re-keys node `id`'s share-index entry to its current total_share,
-  /// reusing the tree node (extract, re-key, re-insert: no allocation).
+  /// Re-keys node `id`'s share-index entry to its current total_share.
   /// Call after mutating the share. No-op for down nodes.
   void share_index_update(NodeId id);
 
@@ -216,13 +198,10 @@ class TimeSharedCluster : public sim::Entity {
   /// Never iterated (find/emplace/erase only), so hashed lookup is safe:
   /// no observable order depends on this container.
   std::unordered_map<workload::JobId, JobState> jobs_;
-  /// Up nodes keyed by (committed share desc, id asc); maintained around
-  /// every total_share mutation so best-fit selection needs no full scan.
-  std::set<ShareEntry> share_index_;
-  /// Each up node's entry in share_index_, so the erase half of an update
-  /// skips the O(log n) key search (set iterators stay valid across other
-  /// inserts/erases). Valid iff the node is up.
-  std::vector<std::set<ShareEntry>::iterator> share_iters_;
+  /// Up nodes in best-fit order (committed share desc, id asc);
+  /// maintained around every total_share mutation so best-fit selection
+  /// needs no full scan.
+  ShareIndex share_index_;
   /// Nodes that have ever hosted a task; the only ones that can carry a
   /// non-zero delivered term in busy_proc_seconds().
   std::set<NodeId> ever_tasked_;

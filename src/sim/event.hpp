@@ -23,27 +23,37 @@ namespace detail {
 
 /// Pending-event record, owned exclusively by the queue's slab pool.
 /// Cancellation is O(1): the record is tombstoned in place and skipped
-/// when it reaches the front. Slots are recycled after pop; `generation`
-/// is bumped on every recycle so a stale EventHandle can tell its event
-/// already fired. Single-threaded by kernel contract.
+/// when it reaches the front. A popped record stays parked while its
+/// action runs, so the action can re-arm its own event in place; it is
+/// recycled after that unless it re-armed. `generation` is bumped on every
+/// recycle so a stale EventHandle can tell its event already fired.
+/// Single-threaded by kernel contract.
 struct EventRecord {
   SimTime time = 0.0;
   EventSequence seq = 0;
   EventAction action;
   bool cancelled = false;
+  /// Popped and dispatching: out of the heap, not yet recycled.
+  bool parked = false;
   /// Slot in the queue's heap array, so a move (EventQueue::reschedule)
-  /// sifts from here without a search. 32 bits sit in the padding after
-  /// `cancelled`, keeping the record at 64 bytes.
+  /// sifts from here without a search. The two flags and these 32 bits
+  /// share the padding before `generation`, keeping the record at 64
+  /// bytes.
   std::uint32_t heap_pos = 0;
   std::uint64_t generation = 0;
 };
+
+static_assert(sizeof(EventAction) != 32 || sizeof(EventRecord) == 64,
+              "with a 32-byte std::function the record fits one cache line");
 
 }  // namespace detail
 
 /// Opaque handle to a scheduled event, usable to cancel it before it fires
 /// or to move it (EventQueue::reschedule). Default-constructed handles are
 /// inert. Handles do not keep the event alive past execution; cancelling
-/// an already-fired event is a no-op.
+/// an already-fired event is a no-op. While the event's own action runs the
+/// handle reads as fired (not pending), but the action may re-arm the
+/// event through it; after a re-arm it is an ordinary pending event.
 ///
 /// Validity is checked in two layers: a queue-lifetime token (so a handle
 /// outliving its queue degrades to inert instead of dangling) and the
@@ -59,7 +69,7 @@ class EventHandle {
     auto live = live_.lock();
     if (!live) return false;
     if (record_ == nullptr || record_->generation != generation_ ||
-        record_->cancelled) {
+        record_->cancelled || record_->parked) {
       return false;
     }
     record_->cancelled = true;
@@ -72,7 +82,8 @@ class EventHandle {
   [[nodiscard]] bool pending() const {
     auto live = live_.lock();
     return live && record_ != nullptr &&
-           record_->generation == generation_ && !record_->cancelled;
+           record_->generation == generation_ && !record_->cancelled &&
+           !record_->parked;
   }
 
   /// Scheduled firing time, or kTimeNever if no longer pending.

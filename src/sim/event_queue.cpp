@@ -32,20 +32,38 @@ EventQueue::~EventQueue() = default;
 // queue (and its record slab) can die with handles outstanding: their
 // weak_ptr expires and they degrade to inert.
 
+PoppedEvent::~PoppedEvent() {
+  if (queue_ != nullptr) queue_->unpark(record_, generation_, action);
+}
+
 detail::EventRecord* EventQueue::acquire() {
   if (!free_.empty()) {
     detail::EventRecord* rec = free_.back();
     free_.pop_back();
     return rec;
   }
+  if (free_.capacity() <= pool_.size()) free_.reserve(2 * pool_.size() + 16);
   return &pool_.emplace_back();
 }
 
-void EventQueue::recycle(detail::EventRecord* rec) {
+void EventQueue::recycle(detail::EventRecord* rec) noexcept {
   ++rec->generation;  // invalidate outstanding handles to this slot
   rec->action = nullptr;
   rec->cancelled = false;
-  free_.push_back(rec);
+  rec->parked = false;
+  free_.push_back(rec);  // within capacity: see acquire()
+}
+
+void EventQueue::unpark(detail::EventRecord* rec, std::uint64_t generation,
+                        EventAction& action) noexcept {
+  if (rec->generation != generation) return;  // recycled: another event's
+  if (rec->parked) {
+    recycle(rec);
+  } else if (!rec->cancelled) {
+    rec->action = std::move(action);
+  }
+  // Re-armed, then cancelled: the tombstone is dropped when it surfaces,
+  // and the action dies with its PoppedEvent.
 }
 
 EventHandle EventQueue::push(SimTime time, EventAction action) {
@@ -90,6 +108,14 @@ bool EventQueue::reschedule(const EventHandle& handle, SimTime time) {
       rec->cancelled) {
     return false;
   }
+  if (rec->parked) {
+    // Re-arm: the dispatching event's record goes back into the heap at
+    // the back, and the move below sifts it into place.
+    heap_.push_back(HeapEntry{time, 0, rec});
+    rec->heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
+    rec->parked = false;
+    ++*live_;
+  }
   rec->time = time;
   rec->seq = next_sequence_++;
   const std::size_t pos = rec->heap_pos;
@@ -133,10 +159,13 @@ std::optional<PoppedEvent> EventQueue::pop() {
   detail::EventRecord* top = heap_.front().rec;
   heap_pop_front();
   assert(!top->cancelled);
+  // Empty only if a nested dispatch popped an event whose own action is
+  // still running: dispatch is not re-entrant.
+  assert(top->action);
   assert(*live_ > 0);
   --*live_;
-  PoppedEvent popped{top->time, top->seq, std::move(top->action)};
-  recycle(top);
+  top->parked = true;
+  PoppedEvent popped(top->time, top->seq, std::move(top->action), this, top);
   drop_dead_top();
   return popped;
 }

@@ -1,14 +1,18 @@
 // Pending-event set: one binary min-heap ordered by (time, sequence).
 // The heap array holds each event's key inline next to its record, and
 // every record knows its heap slot, so a pending event can be moved in
-// place (reschedule) with one sift and no tombstone. Cancellation is
-// tombstone-based O(1); dead records are dropped when they reach the top.
+// place (reschedule) with one sift and no tombstone. A popped event's
+// record stays parked until its PoppedEvent dies, so its action can re-arm
+// the event in place as well. Cancellation is tombstone-based O(1); dead
+// records are dropped when they reach the top.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -16,11 +20,47 @@
 
 namespace utilrisk::sim {
 
-/// An event removed from the queue, ready to dispatch.
-struct PoppedEvent {
+class EventQueue;
+
+/// An event removed from the queue, ready to dispatch. Its record stays
+/// parked until this object dies: while it lives, EventQueue::reschedule
+/// on the event's handle re-arms the record in place (its action comes
+/// back to it when this object dies); without a re-arm the record is then
+/// recycled. Must not outlive its queue. Dispatch is not re-entrant: a
+/// re-armed event must not be popped again while this object lives (it
+/// would come out without its action). If the record is recycled before
+/// this object dies — say the re-armed event was cancelled and a later
+/// pop dropped it — its death leaves the record alone.
+class PoppedEvent {
+ public:
   SimTime time = 0.0;
   EventSequence seq = 0;
   EventAction action;
+
+  PoppedEvent(PoppedEvent&& other) noexcept
+      : time(other.time),
+        seq(other.seq),
+        action(std::move(other.action)),
+        queue_(std::exchange(other.queue_, nullptr)),
+        record_(other.record_),
+        generation_(other.generation_) {}
+  PoppedEvent(const PoppedEvent&) = delete;
+  PoppedEvent& operator=(const PoppedEvent&) = delete;
+  PoppedEvent& operator=(PoppedEvent&&) = delete;
+  ~PoppedEvent();
+
+ private:
+  friend class EventQueue;
+  PoppedEvent(SimTime t, EventSequence s, EventAction a, EventQueue* queue,
+              detail::EventRecord* record)
+      : time(t), seq(s), action(std::move(a)), queue_(queue),
+        record_(record), generation_(record->generation) {}
+
+  EventQueue* queue_ = nullptr;
+  detail::EventRecord* record_ = nullptr;
+  /// The record's generation at the pop; a mismatch means the record was
+  /// recycled since, so it is no longer this event's.
+  std::uint64_t generation_ = 0;
 };
 
 /// Min-queue of pending events. Not thread-safe: the kernel is
@@ -61,8 +101,12 @@ class EventQueue {
   /// its record and action. The event takes the next sequence number, as
   /// a cancel followed by a push would, so it fires in exactly the order
   /// that pair would produce — without the tombstone or the new record.
-  /// Returns false, and changes nothing, when the handle has fired, been
-  /// cancelled, gone stale, or belongs to another (possibly dead) queue.
+  /// A popped event whose PoppedEvent still lives (its action is running)
+  /// re-arms the same way: its parked record goes back into the heap under
+  /// the next sequence number, the key the push it replaces would take.
+  /// Returns false, and changes nothing, when the handle has fired (and
+  /// its PoppedEvent died), been cancelled, gone stale, or belongs to
+  /// another (possibly dead) queue.
   bool reschedule(const EventHandle& handle, SimTime time);
 
   /// True if no live (uncancelled) events remain.
@@ -75,10 +119,12 @@ class EventQueue {
   [[nodiscard]] SimTime next_time() const;
 
   /// Removes and returns the earliest live event, or nullopt when empty.
-  /// Tombstoned entries encountered on the way are discarded.
+  /// Tombstoned entries encountered on the way are discarded. The event's
+  /// record stays parked until the returned PoppedEvent dies.
   std::optional<PoppedEvent> pop();
 
  private:
+  friend class PoppedEvent;
   /// Heap slot: the record's (time, seq) key is stored inline, so sifts
   /// compare keys without dereferencing records.
   struct HeapEntry {
@@ -87,7 +133,12 @@ class EventQueue {
     detail::EventRecord* rec = nullptr;
   };
 
-  void recycle(detail::EventRecord* rec);
+  void recycle(detail::EventRecord* rec) noexcept;
+  /// Ends a popped event's dispatch: a re-armed record takes `action`
+  /// back (unless it was cancelled since), any other is recycled. Does
+  /// nothing when the record's generation is no longer `generation`.
+  void unpark(detail::EventRecord* rec, std::uint64_t generation,
+              EventAction& action) noexcept;
   [[nodiscard]] detail::EventRecord* acquire();
   /// Places a validated event with key (time, seq) in the heap; returns
   /// its record.
@@ -102,7 +153,9 @@ class EventQueue {
   void drop_dead_top();
 
   std::deque<detail::EventRecord> pool_;        ///< stable slab storage
-  std::vector<detail::EventRecord*> free_;      ///< recycled slots
+  /// Recycled slots; its capacity covers the whole pool, so recycling
+  /// never allocates (unpark runs in a destructor).
+  std::vector<detail::EventRecord*> free_;
   /// Binary min-heap on (time, seq); each entry's record knows its slot.
   std::vector<HeapEntry> heap_;
   /// Live-event counter, shared (weakly) with handles: expiry doubles as

@@ -130,19 +130,20 @@ void Simulator::note_scheduled() {
 }
 
 bool Simulator::step() {
-  auto rec = queue_.pop();
-  if (!rec) return false;
-  now_ = rec->time;
-  running_ = true;
+  // The event's record stays parked until `event` dies — when the action
+  // returns or throws — so the action may re-arm its own event
+  // (reschedule_in on its handle) instead of scheduling a new one. The
+  // action runs from `event`, not from the record, so self-cancellation
+  // during dispatch is harmless.
+  auto event = queue_.pop();
+  if (!event) return false;
+  now_ = event->time;
   ++dispatched_;
   if (dispatched_metric_ != nullptr) dispatched_metric_->inc();
   if (queue_depth_metric_ != nullptr) {
     queue_depth_metric_->set(static_cast<double>(queue_.size()));
   }
-  // Move the action out so self-cancellation during dispatch is harmless.
-  EventAction action = std::move(rec->action);
-  action();
-  running_ = false;
+  event->action();
   return true;
 }
 

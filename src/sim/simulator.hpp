@@ -82,9 +82,13 @@ class Simulator {
   /// Moves the pending event behind `handle` to fire `delay` seconds
   /// (>= 0) from now, reusing its record and action. Fires in the same
   /// order as cancelling it and scheduling its action anew, and counts in
-  /// `sim.events_scheduled` like that schedule would. Returns false, and
-  /// schedules nothing, when the handle has fired, been cancelled, gone
-  /// stale, or belongs to another simulator (live or dead).
+  /// `sim.events_scheduled` like that schedule would. Called from inside
+  /// the event's own action, it re-arms the firing event in place: the
+  /// event fires again under the next sequence number, exactly as a fresh
+  /// schedule of its action would, and counts as that schedule. Returns
+  /// false, and schedules nothing, when the handle has fired (outside its
+  /// own action), been cancelled, gone stale, or belongs to another
+  /// simulator (live or dead).
   bool reschedule_in(const EventHandle& handle, SimTime delay);
 
   /// Runs until the event set drains, stop() is called, or — if `horizon`
@@ -94,13 +98,14 @@ class Simulator {
   std::uint64_t run(SimTime horizon = kTimeNever);
 
   /// Dispatches at most one event. Returns false when no live event remains.
+  /// Not re-entrant: an action must not call step() or run() on its own
+  /// simulator. An action that throws leaves the kernel consistent: the
+  /// exception propagates, the event counts as dispatched, and the next
+  /// run() carries on with the events still pending.
   bool step();
 
   /// Requests the current run() to return after the in-flight event.
   void stop() { stop_requested_ = true; }
-
-  /// True while inside run()/step() dispatch.
-  [[nodiscard]] bool running() const { return running_; }
 
   /// Total events dispatched over the simulator's lifetime.
   [[nodiscard]] std::uint64_t events_dispatched() const {
@@ -155,7 +160,6 @@ class Simulator {
   SimTime now_ = 0.0;
   std::uint64_t dispatched_ = 0;
   bool stop_requested_ = false;
-  bool running_ = false;
   Logger logger_;
   obs::Counter* scheduled_metric_ = nullptr;
   obs::Counter* dispatched_metric_ = nullptr;

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <utility>
@@ -16,9 +17,13 @@
 #include "cluster/free_index.hpp"
 #include "cluster/space_shared.hpp"
 #include "cluster/time_shared.hpp"
+#include "policy/libra.hpp"
+#include "service/computing_service.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "workload/scaled.hpp"
+#include "workload/workload.hpp"
 
 namespace utilrisk::cluster {
 namespace {
@@ -289,19 +294,188 @@ TEST(SpaceSharedPropertyTest, IndexedMatchesNaiveReference) {
   }
 }
 
+// ------------------------------------------------ ShareIndex vs naive model
+
+constexpr std::uint32_t kB = ShareIndex::kBlockCapacity;
+
+/// Best-fit order, written out independently of the index's comparator.
+bool best_fit_before(const std::pair<double, NodeId>& a,
+                     const std::pair<double, NodeId>& b) {
+  if (a.first != b.first) return a.first > b.first;
+  return a.second < b.second;
+}
+
+/// Checks the block layout: every block non-empty, within capacity and
+/// sorted, the blocks in key order, every node's slot pointing at its own
+/// entry with its model share, and at most 4n/B + 1 blocks.
+void expect_layout_valid(const ShareIndex& index,
+                         const std::map<NodeId, double>& model,
+                         std::uint32_t node_count) {
+  ASSERT_LE(index.block_count() * kB, 4 * model.size() + kB)
+      << index.block_count() << " blocks for " << model.size() << " entries";
+  std::size_t entries = 0;
+  std::optional<std::pair<double, NodeId>> previous;
+  for (std::size_t rank = 0; rank < index.block_count(); ++rank) {
+    const auto block = index.block(rank);
+    ASSERT_FALSE(block.empty()) << "block " << rank;
+    ASSERT_LE(block.size(), kB);
+    for (const ShareIndex::Entry& entry : block) {
+      const std::pair<double, NodeId> key{entry.committed, entry.id};
+      if (previous) {
+        ASSERT_TRUE(best_fit_before(*previous, key))
+            << "out of order in block " << rank;
+      }
+      previous = key;
+    }
+    entries += block.size();
+  }
+  ASSERT_EQ(entries, model.size());
+  for (NodeId id = 0; id < node_count; ++id) {
+    const auto found = model.find(id);
+    ASSERT_EQ(index.contains(id), found != model.end()) << "node " << id;
+    if (found == model.end()) continue;
+    const ShareIndex::Position pos = index.position(id);
+    ASSERT_LT(pos.rank, index.block_count());
+    const auto block = index.block(pos.rank);
+    ASSERT_LT(pos.slot, block.size());
+    ASSERT_EQ(block[pos.slot].id, id);
+    ASSERT_EQ(block[pos.slot].committed, found->second);
+  }
+}
+
+/// A walk from `bound` must equal the model's entries sorted best-fit and
+/// filtered to committed <= bound; a walk stopped after five visits must
+/// equal that list's first five.
+void expect_walk_matches(const ShareIndex& index,
+                         const std::vector<std::pair<double, NodeId>>& sorted,
+                         double bound) {
+  std::vector<std::pair<double, NodeId>> expected;
+  for (const auto& entry : sorted) {
+    if (entry.first <= bound) expected.push_back(entry);
+  }
+  std::vector<std::pair<double, NodeId>> visited;
+  index.for_each_from(bound, [&](NodeId id, double committed) {
+    visited.emplace_back(committed, id);
+    return true;
+  });
+  ASSERT_EQ(visited, expected) << "bound " << bound;
+  std::vector<std::pair<double, NodeId>> stopped;
+  index.for_each_from(bound, [&](NodeId id, double committed) {
+    stopped.emplace_back(committed, id);
+    return stopped.size() < 5;
+  });
+  expected.resize(std::min<std::size_t>(expected.size(), 5));
+  ASSERT_EQ(stopped, expected) << "bound " << bound;
+}
+
+/// Seeded re-keys, removals and inserts on an index of `node_count`
+/// nodes. Shares are mostly ties ({0, 0.125, 0.25, 0.5}), some 1e-12
+/// apart from those, the rest uniform. The middle third of the run mostly
+/// removes, the rest mostly re-keys, so blocks both fill and drain.
+void expect_share_index_matches_model(std::uint32_t node_count,
+                                      std::uint64_t seed, int steps) {
+  ShareIndex index(node_count);
+  std::map<NodeId, double> model;
+  for (NodeId id = 0; id < node_count; ++id) model.emplace(id, 0.0);
+  sim::Rng rng(seed);
+  constexpr double kTies[] = {0.0, 0.125, 0.25, 0.5};
+  const auto draw_share = [&rng, &kTies] {
+    const double roll = rng.uniform01();
+    const double tie = kTies[rng.uniform_int(0, 3)];
+    if (roll < 0.6) return tie;
+    if (roll < 0.8) {
+      return tie + 1e-12 * static_cast<double>(rng.uniform_int(0, 3));
+    }
+    return rng.uniform(0.0, 1.0);
+  };
+  bool grew = false;
+  bool shrank = false;
+  for (int step = 0; step < steps; ++step) {
+    const std::size_t blocks_before = index.block_count();
+    const NodeId id = static_cast<NodeId>(rng.uniform_int(0, node_count - 1));
+    const bool draining = step >= steps / 3 && step < 2 * steps / 3;
+    if (!model.contains(id)) {
+      const double share = draw_share();
+      index.insert(id, share);
+      model.emplace(id, share);
+    } else if (rng.bernoulli(draining ? 0.7 : 0.2)) {
+      index.erase(id);
+      model.erase(id);
+    } else {
+      const double share = draw_share();
+      index.update(id, share);
+      model[id] = share;
+    }
+    grew = grew || index.block_count() > blocks_before;
+    shrank = shrank || index.block_count() < blocks_before;
+
+    ASSERT_NO_FATAL_FAILURE(expect_layout_valid(index, model, node_count))
+        << "step " << step;
+    std::vector<std::pair<double, NodeId>> sorted;
+    for (const auto& [node, committed] : model) {
+      sorted.emplace_back(committed, node);
+    }
+    std::sort(sorted.begin(), sorted.end(), best_fit_before);
+    std::vector<double> bounds = {rng.uniform(0.0, 1.0), 2.0, -1.0};
+    if (!sorted.empty()) {
+      const double key = sorted[rng.uniform_int(0, sorted.size() - 1)].first;
+      bounds.push_back(key);
+      bounds.push_back(key - 1e-12);
+    }
+    for (const double bound : bounds) {
+      ASSERT_NO_FATAL_FAILURE(expect_walk_matches(index, sorted, bound))
+          << "step " << step;
+    }
+  }
+  if (node_count > 3 * kB) {
+    EXPECT_TRUE(grew) << "no block was split";
+    EXPECT_TRUE(shrank) << "no block was merged or dropped";
+  }
+}
+
+TEST(ShareIndexPropertyTest, OneNode) {
+  expect_share_index_matches_model(1, 11, 400);
+}
+
+TEST(ShareIndexPropertyTest, OneBelowABlock) {
+  expect_share_index_matches_model(kB - 1, 12, 2000);
+}
+
+TEST(ShareIndexPropertyTest, OneBlock) {
+  expect_share_index_matches_model(kB, 13, 2000);
+}
+
+TEST(ShareIndexPropertyTest, OneAboveABlock) {
+  expect_share_index_matches_model(kB + 1, 14, 2000);
+}
+
+TEST(ShareIndexPropertyTest, ThreeBlocksAndFive) {
+  expect_share_index_matches_model(3 * kB + 5, 15, 3000);
+}
+
+TEST(ShareIndexPropertyTest, FortyBlocks) {
+  expect_share_index_matches_model(40 * kB, 16, 1200);
+}
+
 // -------------------------------------- TimeSharedCluster vs naive reference
 
-TEST(TimeSharedPropertyTest, ShareIndexMatchesFullScan) {
-  constexpr std::uint32_t kNodes = 48;
+/// Drives a `node_count`-node executor through seeded starts (placed by a
+/// full best-fit scan), cancels, node failures and repairs, and time
+/// advances, and after every step checks its best-fit walk against a full
+/// scan of the up nodes. `runtime(rng)` gives each job's runtime.
+template <typename Runtime>
+void expect_share_walk_matches_full_scan(std::uint32_t node_count,
+                                         std::uint64_t seed,
+                                         Runtime&& runtime) {
   sim::Simulator simk;
-  TimeSharedCluster cluster(simk, {.node_count = kNodes});
-  sim::Rng rng(0xCAFE);
+  TimeSharedCluster cluster(simk, {.node_count = node_count});
+  sim::Rng rng(seed);
   workload::JobId next_id = 1;
   std::vector<workload::JobId> live;
+  const auto finished = [&live](workload::JobId id, sim::SimTime) {
+    live.erase(std::find(live.begin(), live.end(), id));
+  };
 
-  // Long runtimes keep every started job resident: the reference tracks
-  // share changes through start/cancel/node_down/node_up, which are the
-  // paths that maintain the share index.
   for (int step = 0; step < 1500; ++step) {
     const double roll = rng.uniform01();
     if (roll < 0.5) {
@@ -310,7 +484,7 @@ TEST(TimeSharedPropertyTest, ShareIndexMatchesFullScan) {
       // Pick the `procs` least-committed up nodes with headroom, the way
       // Libra's best-fit admission does, via a full scan.
       std::vector<std::pair<double, NodeId>> eligible;
-      for (NodeId id = 0; id < kNodes; ++id) {
+      for (NodeId id = 0; id < node_count; ++id) {
         if (!cluster.is_up(id)) continue;
         const double committed = cluster.committed_share(id);
         if (committed + share <= 1.0 + TimeSharedCluster::kShareEpsilon) {
@@ -323,8 +497,10 @@ TEST(TimeSharedPropertyTest, ShareIndexMatchesFullScan) {
       for (std::uint32_t i = 0; i < procs; ++i) {
         nodes.push_back(eligible[i].second);
       }
-      workload::Job job = make_job(next_id++, procs, 1e9, 1e9);
-      cluster.start(job, nodes, share, {});
+      const double job_runtime = runtime(rng);
+      workload::Job job =
+          make_job(next_id++, procs, job_runtime, job_runtime);
+      cluster.start(job, nodes, share, finished);
       live.push_back(job.id);
     } else if (roll < 0.7 && !live.empty()) {
       const std::size_t pick = rng.uniform_int(0, live.size() - 1);
@@ -332,7 +508,7 @@ TEST(TimeSharedPropertyTest, ShareIndexMatchesFullScan) {
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
       EXPECT_TRUE(cluster.cancel(victim));
     } else if (roll < 0.85) {
-      const NodeId id = static_cast<NodeId>(rng.uniform_int(0, kNodes - 1));
+      const NodeId id = static_cast<NodeId>(rng.uniform_int(0, node_count - 1));
       if (cluster.is_up(id)) {
         for (const FailureKill& kill : cluster.node_down(id)) {
           live.erase(std::find(live.begin(), live.end(), kill.job.id));
@@ -347,7 +523,7 @@ TEST(TimeSharedPropertyTest, ShareIndexMatchesFullScan) {
     // Reference order: full scan of up nodes, sorted best-fit (committed
     // desc, id asc) — exactly what the old per-admission sort produced.
     std::vector<std::pair<double, NodeId>> reference;
-    for (NodeId id = 0; id < kNodes; ++id) {
+    for (NodeId id = 0; id < node_count; ++id) {
       if (cluster.is_up(id)) {
         reference.emplace_back(cluster.committed_share(id), id);
       }
@@ -384,6 +560,22 @@ TEST(TimeSharedPropertyTest, ShareIndexMatchesFullScan) {
   }
 }
 
+TEST(TimeSharedPropertyTest, ShareIndexMatchesFullScan) {
+  // Long runtimes keep every started job resident: the reference tracks
+  // share changes through start/cancel/node_down/node_up, which are the
+  // paths that maintain the share index.
+  expect_share_walk_matches_full_scan(48, 0xCAFE,
+                                      [](sim::Rng&) { return 1e9; });
+}
+
+TEST(TimeSharedPropertyTest, ShareIndexMatchesFullScanAcrossBlocks) {
+  // Over three blocks of nodes, with runtimes short enough that tasks
+  // complete between steps: completions re-key the index too.
+  expect_share_walk_matches_full_scan(
+      3 * ShareIndex::kBlockCapacity + 13, 0xF00D,
+      [](sim::Rng& rng) { return rng.uniform(5.0, 120.0); });
+}
+
 TEST(TimeSharedPropertyTest, RejectsDuplicateNodeIds) {
   sim::Simulator simk;
   TimeSharedCluster cluster(simk, {.node_count = 8});
@@ -394,6 +586,65 @@ TEST(TimeSharedPropertyTest, RejectsDuplicateNodeIds) {
   for (NodeId id : {2u, 5u}) EXPECT_DOUBLE_EQ(cluster.committed_share(id), 0.0);
   cluster.start(job, {2, 5, 7}, 0.5, {});
   EXPECT_EQ(cluster.running_count(), 1u);
+}
+
+// --------------------------------- indexed Libra vs full-scan Libra, 1,024 nodes
+
+/// Libra with the node selection the share index replaced: scan every
+/// node, keep the eligible ones, sort them best-fit (committed share desc,
+/// id asc) and take the first job.procs. Bid model only: no quote step.
+class FullScanLibraPolicy : public policy::LibraPolicy {
+ public:
+  using LibraPolicy::LibraPolicy;
+
+  void on_submit(const workload::Job& job) override {
+    const std::optional<double> share = required_share(job);
+    std::vector<std::pair<double, NodeId>> eligible;
+    if (share && job.procs <= cluster().node_count()) {
+      for (NodeId node = 0; node < cluster().node_count(); ++node) {
+        if (node_eligible(node, job, *share)) {
+          eligible.emplace_back(cluster().committed_share(node), node);
+        }
+      }
+    }
+    if (!share || eligible.size() < job.procs) {
+      host().notify_rejected(job);
+      return;
+    }
+    std::sort(eligible.begin(), eligible.end(), best_fit_before);
+    std::vector<NodeId> nodes;
+    for (std::uint32_t i = 0; i < job.procs; ++i) {
+      nodes.push_back(eligible[i].second);
+    }
+    host().notify_accepted(job, job.budget);
+    host().notify_started(job);
+    cluster().start(job, nodes, *share,
+                    [this, job](workload::JobId, sim::SimTime finish) {
+                      host().notify_finished(job, finish);
+                    });
+  }
+};
+
+TEST(LibraSelectionTest, IndexedEqualsFullScanOnTheScaledTrace) {
+  // bench_kernel_scaling's 1,024-node scenario: at this width the index
+  // spans many blocks, so a real trace drives its splits, merges and
+  // cross-block moves.
+  const workload::WorkloadBuilder builder(
+      workload::scaled_sdsc_config(1024, 5000));
+  const auto jobs = builder.build(workload::QosConfig{}, 0.25, 100.0);
+  policy::PolicyContext context;
+  context.machine.node_count = 1024;
+  context.model = economy::EconomicModel::BidBased;
+  const auto indexed = service::simulate(
+      jobs, service::factory_for(policy::PolicyKind::Libra), context);
+  const service::PolicyFactory full_scan =
+      [](const policy::PolicyContext& ctx, policy::PolicyHost& host) {
+        return std::make_unique<FullScanLibraPolicy>(ctx, host);
+      };
+  const auto scanned = service::simulate(jobs, full_scan, context);
+  EXPECT_EQ(indexed.digest, scanned.digest);
+  EXPECT_EQ(indexed.digest, "3faa4b3aa174b0b5");
+  EXPECT_EQ(indexed.events_dispatched, scanned.events_dispatched);
 }
 
 }  // namespace
@@ -420,7 +671,8 @@ struct TrackedEvent {
 /// share `outlier_probability` of them is multiplied by 1e6. An operation
 /// is a push with probability `push_share` (a pop once every push is
 /// made, so the queue drains); the rest split 2:3:5 between cancel, move
-/// and pop.
+/// and pop. A third of the popped events re-arm themselves from their own
+/// action.
 struct PopStreamInput {
   std::uint64_t seed = 0;
   int pushes = 0;
@@ -439,7 +691,9 @@ struct PopStreamInput {
 /// minimum (time AND sequence number: the full total order), next_time()
 /// its minimum time and size() its count. Moves go to random times, to
 /// exactly the current minimum's time, and to just below it; a third of
-/// them move the current minimum itself.
+/// them move the current minimum itself. A popped event of the moving
+/// queue runs its action, which may re-arm the event through its own
+/// handle while it is parked; the reference pushes a new event instead.
 void expect_pops_match_model(const PopStreamInput& input) {
   EventQueue moving_queue;
   EventQueue reference_queue;
@@ -453,6 +707,22 @@ void expect_pops_match_model(const PopStreamInput& input) {
   const double rest = 1.0 - input.push_share;
   const double cancel_below = input.push_share + 0.2 * rest;
   const double move_below = input.push_share + 0.5 * rest;
+  /// A time drawn like a move's target: random, the current minimum's
+  /// time, or just below it.
+  const auto draw_target = [&] {
+    const SimTime min_time =
+        model.empty() ? kTimeNever : model.begin()->first.first;
+    double t = rng.uniform(input.lo, input.hi);
+    const std::uint64_t target = rng.uniform_int(0, 2);
+    if (min_time != kTimeNever && target == 1) {
+      t = min_time;  // ties the minimum: must pop after it (later seq)
+    } else if (min_time != kTimeNever && target == 2) {
+      t = min_time - rng.uniform(0.0, 0.01 * (input.hi - input.lo));
+    }
+    return t;
+  };
+  // Set while a popped event's action runs: the time it re-arms to.
+  std::optional<SimTime> rearm_to;
   while (pushed < input.pushes || !model.empty()) {
     const double roll = rng.uniform01();
     if (roll < input.push_share && pushed < input.pushes) {
@@ -462,9 +732,17 @@ void expect_pops_match_model(const PopStreamInput& input) {
         t *= 1e6;
       }
       const Key key{t, next_seq++};
-      model.emplace(key, events.size());
-      events.push_back(TrackedEvent{moving_queue.push(t, [] {}),
-                                    reference_queue.push(t, [] {}), key});
+      const std::size_t index = events.size();
+      model.emplace(key, index);
+      events.push_back(TrackedEvent{
+          moving_queue.push(t,
+                            [&, index] {
+                              if (rearm_to) {
+                                ASSERT_TRUE(moving_queue.reschedule(
+                                    events[index].moving, *rearm_to));
+                              }
+                            }),
+          reference_queue.push(t, [] {}), key});
       ++pushed;
     } else if (roll >= input.push_share && roll < cancel_below &&
                !events.empty()) {
@@ -482,15 +760,7 @@ void expect_pops_match_model(const PopStreamInput& input) {
       if (rng.bernoulli(1.0 / 3.0) && !model.empty()) {
         pick = model.begin()->second;
       }
-      const SimTime min_time =
-          model.empty() ? kTimeNever : model.begin()->first.first;
-      double t = rng.uniform(input.lo, input.hi);
-      const std::uint64_t target = rng.uniform_int(0, 2);
-      if (min_time != kTimeNever && target == 1) {
-        t = min_time;  // ties the minimum: must pop after it (later seq)
-      } else if (min_time != kTimeNever && target == 2) {
-        t = min_time - rng.uniform(0.0, 0.01 * (input.hi - input.lo));
-      }
+      const double t = draw_target();
       TrackedEvent& e = events[pick];
       const bool pending = e.key.has_value();
       ASSERT_EQ(moving_queue.reschedule(e.moving, t), pending);
@@ -513,8 +783,23 @@ void expect_pops_match_model(const PopStreamInput& input) {
         ASSERT_EQ(a->seq, key.second);
         ASSERT_EQ(b->time, key.first);
         ASSERT_EQ(b->seq, key.second);
-        events[index].key.reset();
+        TrackedEvent& e = events[index];
+        e.key.reset();
         model.erase(model.begin());
+        // Until it re-arms, the dispatching event reads as fired.
+        ASSERT_FALSE(e.moving.pending());
+        ASSERT_EQ(e.moving.time(), kTimeNever);
+        ASSERT_FALSE(e.moving.cancel());
+        if (rng.bernoulli(1.0 / 3.0)) rearm_to = draw_target();
+        a->action();
+        if (rearm_to) {
+          ASSERT_TRUE(e.moving.pending());
+          ASSERT_EQ(e.moving.time(), *rearm_to);
+          e.reference = reference_queue.push(*rearm_to, [] {});
+          e.key = Key{*rearm_to, next_seq++};
+          model.emplace(*e.key, index);
+          rearm_to.reset();
+        }
       }
     }
     const SimTime model_min =

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -98,13 +99,53 @@ TEST(EventQueueTest, StaleHandleIgnoresRecycledSlot) {
   // neither the new event's time nor be able to cancel it.
   EventQueue queue;
   auto stale = queue.push(1.0, [] {});
-  auto rec = queue.pop();
-  ASSERT_TRUE(rec.has_value());
+  // The popped event dies here, recycling its record before the push.
+  ASSERT_TRUE(queue.pop().has_value());
   auto fresh = queue.push(9.0, [] {});
   EXPECT_FALSE(stale.pending());
   EXPECT_FALSE(stale.cancel()) << "stale handle must not cancel the reused slot";
   EXPECT_TRUE(fresh.pending());
   EXPECT_DOUBLE_EQ(queue.next_time(), 9.0);
+}
+
+TEST(EventQueueTest, ParkedRecordIsNotReusedWhileItsEventDispatches) {
+  // While a popped event lives its record stays parked: a push takes
+  // another record, and the popped event's handle reads as fired.
+  EventQueue queue;
+  auto firing = queue.push(1.0, [] {});
+  auto popped = queue.pop();
+  ASSERT_TRUE(popped.has_value());
+  EXPECT_FALSE(firing.pending());
+  EXPECT_EQ(firing.time(), kTimeNever);
+  auto fresh = queue.push(9.0, [] {});
+  EXPECT_FALSE(firing.cancel()) << "a firing event cannot be cancelled";
+  EXPECT_TRUE(fresh.pending());
+  EXPECT_EQ(queue.size(), 1u);
+  popped.reset();
+  EXPECT_FALSE(firing.pending());
+  EXPECT_TRUE(fresh.pending());
+  EXPECT_DOUBLE_EQ(queue.next_time(), 9.0);
+}
+
+TEST(EventQueueTest, PoppedEventLeavesARecycledRecordAlone) {
+  // A popped event re-arms and is cancelled; a later pop drops the
+  // tombstone and recycles the record, which the next push reuses. The
+  // first popped event dies only then, and must not hand its action to
+  // the record's new event.
+  EventQueue queue;
+  std::vector<int> order;
+  auto first = queue.push(1.0, [&] { order.push_back(1); });
+  auto popped = queue.pop();
+  ASSERT_TRUE(popped.has_value());
+  ASSERT_TRUE(queue.reschedule(first, 2.0));
+  ASSERT_TRUE(first.cancel());
+  EXPECT_FALSE(queue.pop().has_value());
+  auto reused = queue.push(3.0, [&] { order.push_back(2); });
+  popped.reset();
+  EXPECT_TRUE(reused.pending());
+  EXPECT_FALSE(first.pending());
+  while (auto rec = queue.pop()) rec->action();
+  EXPECT_EQ(order, (std::vector<int>{2}));
 }
 
 TEST(EventQueueTest, RescheduleMovesInPlaceWithTheNextSequence) {
@@ -243,6 +284,9 @@ TEST(SimulatorTest, RescheduleFiresLikeCancelPlusSchedule) {
       << "a move counts as the schedule it replaces";
 }
 
+// "Fired" means fired outside its own action: once an event's action has
+// returned, its handle can no longer move it. Inside the action it can
+// (SimulatorTest.RearmFiresUnderTheNextSequence).
 TEST(SimulatorTest, RescheduleRefusesHandlesThatAreNotPending) {
   obs::MetricsRegistry metrics(true);
   Simulator simk;
@@ -250,7 +294,7 @@ TEST(SimulatorTest, RescheduleRefusesHandlesThatAreNotPending) {
   int fired = 0;
   const EventHandle done = simk.schedule_at(1.0, [&] { ++fired; });
   simk.run();
-  EXPECT_FALSE(simk.reschedule_in(done, 1.0)) << "fired";
+  EXPECT_FALSE(simk.reschedule_in(done, 1.0)) << "fired, action returned";
   EventHandle cancelled = simk.schedule_at(2.0, [&] { ++fired; });
   // `cancelled` reused `done`'s record slot: `done` is now stale.
   EXPECT_FALSE(simk.reschedule_in(done, 1.0)) << "stale";
@@ -275,6 +319,93 @@ TEST(SimulatorTest, RescheduleRefusesHandlesThatAreNotPending) {
   EXPECT_DOUBLE_EQ(live.time(), 10.0);
   simk.run();
   EXPECT_EQ(fired, 2);
+}
+
+TEST(SimulatorTest, RearmFiresUnderTheNextSequence) {
+  obs::MetricsRegistry metrics(true);
+  Simulator simk;
+  simk.set_metrics(&metrics);
+  std::vector<int> order;
+  EventHandle self;
+  self = simk.schedule_at(1.0, [&] {
+    order.push_back(1);
+    if (order.size() > 1) return;
+    // While its action runs, the event reads as fired.
+    EXPECT_FALSE(self.pending());
+    EXPECT_EQ(self.time(), kTimeNever);
+    EXPECT_FALSE(self.cancel());
+    EXPECT_EQ(simk.pending_events(), 1u);
+    EXPECT_TRUE(simk.reschedule_in(self, 4.0));
+    EXPECT_TRUE(self.pending());
+    EXPECT_DOUBLE_EQ(self.time(), 5.0);
+    EXPECT_EQ(simk.pending_events(), 2u);
+  });
+  simk.schedule_at(5.0, [&] { order.push_back(2); });
+  EXPECT_EQ(simk.run(), 3u);
+  // The re-arm took the next sequence number, after the event scheduled
+  // at t=5 first: a re-arm that kept its old number would fire first.
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 1}));
+  EXPECT_FALSE(self.pending());
+  EXPECT_EQ(metrics.counter("sim.events_scheduled").value(), 3u)
+      << "a re-arm counts once, as the schedule it replaces";
+  EXPECT_EQ(metrics.counter("sim.events_dispatched").value(), 3u);
+}
+
+TEST(SimulatorTest, RearmedThenCancelledNeverFiresAndDropsItsAction) {
+  Simulator simk;
+  auto token = std::make_shared<int>(0);
+  int fired = 0;
+  EventHandle self;
+  self = simk.schedule_at(1.0, [&, token] {
+    ++fired;
+    ASSERT_TRUE(simk.reschedule_in(self, 1.0));
+    EXPECT_TRUE(self.cancel());
+    EXPECT_FALSE(self.pending());
+  });
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_TRUE(simk.step());
+  EXPECT_EQ(token.use_count(), 1) << "the cancelled re-arm kept its action";
+  EXPECT_EQ(simk.pending_events(), 0u);
+  EXPECT_EQ(simk.run(), 0u);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(SimulatorTest, ThrowingActionLeavesTheKernelConsistent) {
+  Simulator simk;
+  std::vector<int> order;
+  const EventHandle thrower = simk.schedule_at(1.0, [] {
+    throw std::runtime_error("action failed");
+  });
+  // Re-arms itself, then throws: the re-arm stands, action and all.
+  EventHandle rearmed;
+  int rearmed_runs = 0;
+  rearmed = simk.schedule_at(2.0, [&] {
+    order.push_back(2);
+    if (++rearmed_runs == 1) {
+      ASSERT_TRUE(simk.reschedule_in(rearmed, 2.0));
+      throw std::runtime_error("after re-arm");
+    }
+  });
+  simk.schedule_at(3.0, [&] { order.push_back(3); });
+
+  EXPECT_THROW(simk.run(), std::runtime_error);
+  EXPECT_EQ(simk.pending_events(), 2u);
+  EXPECT_FALSE(thrower.pending());
+  EXPECT_EQ(thrower.time(), kTimeNever);
+  EXPECT_FALSE(simk.reschedule_in(thrower, 1.0))
+      << "a record left parked would re-arm: the thrower's was recycled";
+  EventHandle stale = thrower;
+  EXPECT_FALSE(stale.cancel());
+
+  EXPECT_THROW(simk.run(), std::runtime_error);
+  EXPECT_EQ(simk.pending_events(), 2u);
+  EXPECT_TRUE(rearmed.pending());
+  EXPECT_DOUBLE_EQ(rearmed.time(), 4.0);
+
+  EXPECT_EQ(simk.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{2, 3, 2}));
+  EXPECT_EQ(simk.pending_events(), 0u);
+  EXPECT_EQ(simk.events_dispatched(), 4u);
 }
 
 TEST(SimulatorTest, NegativeDelaySlackSnapsToNow) {
