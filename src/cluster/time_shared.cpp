@@ -15,6 +15,12 @@ namespace {
 /// below this many processor-seconds (absorbs rate-integration rounding).
 constexpr double kWorkEpsilon = 1e-6;
 
+/// From 2^34 s (about 545 years) on, half an ulp of the clock exceeds
+/// kWorkEpsilon: a task can then hold more remaining work than the slack
+/// forgives, yet too little for its completion time to differ from now.
+/// Below this instant the slack catches every such task.
+constexpr double kCoarseClock = 17179869184.0;
+
 }  // namespace
 
 TimeSharedCluster::TimeSharedCluster(sim::Simulator& simulator,
@@ -145,12 +151,19 @@ void TimeSharedCluster::handle_node_event(NodeId id) {
   NodeState& node = nodes_[id];
   integrate(node);
   // Complete every task whose work target is met (ties complete together).
-  // The id buffer is taken, not borrowed: completion callbacks may
-  // re-enter the executor.
+  // On a coarse clock a task whose remaining time cannot advance the
+  // clock completes too; otherwise it would re-arm at this same instant
+  // forever. The id buffer is taken, not borrowed: completion callbacks
+  // may re-enter the executor.
+  const sim::SimTime t = now();
+  const bool coarse_clock = t >= kCoarseClock;
+  const double total_share = node.total_share;
   std::vector<workload::JobId> finished = std::move(finished_scratch_);
   finished.clear();
   for (auto it = node.tasks.begin(); it != node.tasks.end();) {
-    if (it->done + kWorkEpsilon >= it->actual_work) {
+    if (it->done + kWorkEpsilon >= it->actual_work ||
+        (coarse_clock &&
+         t + (it->actual_work - it->done) / (it->share / total_share) == t)) {
       node.total_share -= it->share;
       finished.push_back(it->job);
       it = node.tasks.erase(it);

@@ -4,9 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "exp/experiment.hpp"
 #include "exp/parallel.hpp"
 #include "service/computing_service.hpp"
-#include "workload/workload.hpp"
 
 namespace utilrisk::exp {
 
@@ -55,25 +55,14 @@ ReplicationSummary replicate(const ReplicationConfig& config) {
   const auto run_seed = [&config, &replicates](std::size_t /*worker*/,
                                                std::size_t i) {
     const std::uint64_t seed = config.seeds[i];
-    workload::SyntheticSdscConfig trace = config.trace;
-    trace.seed = seed;
-    workload::QosConfig qos;
-    qos.high_urgency_percent = config.settings.high_urgency_percent;
-    qos.deadline = config.settings.deadline;
-    qos.budget = config.settings.budget;
-    qos.penalty = config.settings.penalty;
-    qos.seed = seed * 31 + 7;
-    const workload::WorkloadBuilder builder(trace);
-    const auto jobs =
-        builder.build(qos, config.settings.arrival_delay_factor,
-                      config.settings.inaccuracy_percent);
-    policy::PolicyContext context;
-    context.model = config.model;
-    context.failure = config.settings.failure;
-    context.recovery = config.settings.recovery;
-    const auto report = service::simulate(
-        jobs, service::factory_for(config.policy), context);
-    replicates[i] = report.objectives;
+    ExperimentConfig run;
+    run.model = config.model;
+    run.trace = config.trace;
+    run.trace.seed = seed;
+    run.qos_seed = seed * 31 + 7;
+    replicates[i] = simulate_run_report(run, run.make_builder(),
+                                        config.policy, config.settings)
+                        .objectives;
   };
   const std::size_t workers =
       config.workers == 0 ? default_worker_count() : config.workers;

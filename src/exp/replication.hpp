@@ -1,7 +1,7 @@
 // Multi-seed replication: independent trace/QoS seeds turn one simulation
 // into an estimate with a confidence interval, so policy comparisons can
-// be made statistically rather than off a single draw (the robustness
-// benches use this; the paper reports single-trace numbers).
+// be made statistically rather than off a single draw (`utilrisk simulate
+// --replicates N` reports it; the paper reports single-trace numbers).
 #pragma once
 
 #include <array>
@@ -58,10 +58,11 @@ struct ReplicationConfig {
 };
 
 /// Runs one simulation per seed (trace seed = s, QoS seed = s * 31 + 7)
-/// and reduces. Replicates are fully independent (each builds its own
-/// trace, builder and simulator), so they fan out across config.workers
-/// threads; the replicate order — and thus the summary — is the same at
-/// every worker count. Throws std::invalid_argument on fewer than 2 seeds.
+/// through simulate_run_report and reduces. Replicates are fully
+/// independent (each builds its own trace, builder and simulator), so they
+/// fan out across config.workers threads; the replicate order — and thus
+/// the summary — is the same at every worker count. Throws
+/// std::invalid_argument on fewer than 2 seeds.
 [[nodiscard]] ReplicationSummary replicate(const ReplicationConfig& config);
 
 /// Reduces externally collected replicate values (exposed for tests and

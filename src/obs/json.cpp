@@ -39,11 +39,6 @@ void write_indent(std::ostream& out, int depth) {
 
 }  // namespace
 
-bool Value::as_bool() const {
-  if (!is_bool()) type_error("bool");
-  return std::get<bool>(data_);
-}
-
 double Value::as_number() const {
   if (!is_number()) type_error("number");
   return std::get<double>(data_);
@@ -100,27 +95,33 @@ void Value::push_back(Value value) {
   std::get<Array>(data_).push_back(std::move(value));
 }
 
-void write_escaped(std::ostream& out, std::string_view text) {
-  out << '"';
+void append_escaped(std::string& out, std::string_view text) {
+  out += '"';
   for (const char c : text) {
     switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buffer[8];
           std::snprintf(buffer, sizeof(buffer), "\\u%04x",
                         static_cast<unsigned>(c));
-          out << buffer;
+          out += buffer;
         } else {
-          out << c;
+          out += c;
         }
     }
   }
-  out << '"';
+  out += '"';
+}
+
+void write_escaped(std::ostream& out, std::string_view text) {
+  std::string escaped;
+  append_escaped(escaped, text);
+  out << escaped;
 }
 
 void Value::dump(std::ostream& out, int depth) const {

@@ -71,7 +71,6 @@ class Value {
 
   // Typed access; throws std::runtime_error on a type mismatch so a
   // malformed manifest fails loudly instead of reading garbage.
-  [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const Array& as_array() const;
@@ -108,6 +107,9 @@ class Value {
 /// documents recursing the parser off the stack (the serve protocol
 /// feeds this parser attacker-controlled bytes).
 [[nodiscard]] Value parse(std::string_view text);
+
+/// Appends `text` to `out` as a quoted, escaped JSON string literal.
+void append_escaped(std::string& out, std::string_view text);
 
 /// Writes `text` as a quoted, escaped JSON string literal.
 void write_escaped(std::ostream& out, std::string_view text);

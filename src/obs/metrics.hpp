@@ -132,12 +132,6 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Disabled registries hand out no metric pointers via the *_or_null
-  /// helpers; flipping enabled later only affects components attached
-  /// afterwards (attachment caches pointers).
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
   [[nodiscard]] bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
   }

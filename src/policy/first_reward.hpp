@@ -42,7 +42,6 @@ class FirstRewardPolicy : public Policy {
   void on_node_down(cluster::NodeId id) override;
   void on_node_up(cluster::NodeId id) override;
 
-  [[nodiscard]] std::size_t queued_count() const { return queue_.size(); }
   [[nodiscard]] const cluster::SpaceSharedCluster& executor() const {
     return *cluster_;
   }

@@ -54,11 +54,6 @@ class LibraReservePolicy : public Policy {
     return book_;
   }
 
-  /// Jobs accepted but not yet started (diagnostics).
-  [[nodiscard]] std::size_t deferred_count() const {
-    return deferred_.size();
-  }
-
  private:
   struct Booking {
     workload::Job job;

@@ -59,7 +59,6 @@ class QueueBackfillPolicy : public Policy {
 
   [[nodiscard]] QueueOrder order() const { return order_; }
   [[nodiscard]] AdmissionControl admission() const { return admission_; }
-  [[nodiscard]] std::size_t queued_count() const { return queue_.size(); }
   [[nodiscard]] const cluster::SpaceSharedCluster& executor() const {
     return *cluster_;
   }

@@ -422,26 +422,10 @@ Response AdmissionEngine::answer_advise(const Request& request) {
   response.tenant = request.tenant;
   response.shard = config_.shard_index;
   try {
-    const advise::Snapshot snapshot = advisor_->query(
-        routing_key(request), request.weights, request.risk_aversion);
+    response.advice = std::make_shared<const advise::Snapshot>(
+        advisor_->query(routing_key(request), request.scoring.objective_weights,
+                        request.scoring.risk_aversion));
     response.status = Status::Advice;
-    auto body = std::make_shared<AdviceBody>();
-    body->active = snapshot.active;
-    body->recommended = snapshot.recommended;
-    body->decided = snapshot.decided;
-    body->evaluations = snapshot.evaluations;
-    body->switches = snapshot.switches;
-    body->samples = snapshot.samples;
-    body->estimate_mean = snapshot.estimate_mean;
-    body->estimate_stddev = snapshot.estimate_stddev;
-    body->ranked.reserve(snapshot.ranked.size());
-    for (const advise::RankedPolicy& entry : snapshot.ranked) {
-      body->ranked.push_back(RankedPolicyWire{entry.policy, entry.score,
-                                              entry.performance,
-                                              entry.volatility});
-    }
-    body->digest = verify::to_hex(snapshot.digest);
-    response.advice = std::move(body);
   } catch (const std::exception& e) {
     response.status = Status::Error;
     response.message = std::string("advise failed: ") + e.what();

@@ -235,6 +235,11 @@ class AdmissionEngine : public EngineApi {
       const {
     return decision_digest_;
   }
+  /// The online advisor behind `advise` answers. Engine-thread state, like
+  /// the digest above: only safe before start() or after drain().
+  [[nodiscard]] const advise::AdvisorEngine& advisor() const {
+    return *advisor_;
+  }
   /// Journal write totals for this session (zeros when journaling is off).
   [[nodiscard]] JournalStats journal_stats() const {
     return journal_ != nullptr ? journal_->stats() : JournalStats{};

@@ -102,90 +102,59 @@ struct JournalLine {
   SwitchRecord sw;                   // Kind::Switch
 };
 
-/// Parses one chk-verified record payload. Throws JournalError on an
-/// envelope that verified its chk but does not decode — that is writer
-/// corruption, not a torn tail.
-[[nodiscard]] JournalLine parse_journal_line(std::string_view payload) {
-  JournalLine record;
+/// Decodes one chk-verified record payload with the protocol's field
+/// readers. Throws ProtocolError on a record that does not decode.
+[[nodiscard]] JournalLine decode_record(std::string_view payload) {
   // The request body is embedded verbatim as the wire encoding; slice it
-  // back out and reuse parse_request. The chk already vouched for the
-  // bytes, so structural failures below are writer bugs, not torn tails.
+  // back out and reuse parse_request.
   constexpr std::string_view kReqKey = "\"req\":";
   obs::json::Value doc;
   try {
     doc = obs::json::parse(std::string(payload) + "}");
   } catch (const obs::json::ParseError& e) {
-    throw JournalError(std::string("undecodable journal record: ") +
-                       e.what());
+    throw ProtocolError(e.what());
   }
-  const obs::json::Value* type = doc.find("type");
-  if (type == nullptr || !type->is_string()) {
-    throw JournalError("journal record missing 'type'");
-  }
-  const std::string& kind = type->as_string();
+  JournalLine record;
+  const std::string& kind = string_field(doc, "type");
   if (kind == "req") {
     record.kind = JournalLine::Kind::Request;
     const std::size_t at = payload.find(kReqKey);
     if (at == std::string_view::npos) {
-      throw JournalError("req record missing embedded request");
+      throw ProtocolError("req record missing embedded request");
     }
-    const std::string_view body = payload.substr(at + kReqKey.size());
-    try {
-      record.request = parse_request(body);
-    } catch (const ProtocolError& e) {
-      throw JournalError(std::string("undecodable journalled request: ") +
-                         e.what());
-    }
-    return record;
-  }
-  if (kind == "tick") {
+    record.request = parse_request(payload.substr(at + kReqKey.size()));
+  } else if (kind == "tick") {
     record.kind = JournalLine::Kind::Tick;
-    const obs::json::Value* processed = doc.find("processed");
-    const obs::json::Value* digest = doc.find("digest");
-    if (processed == nullptr || !processed->is_number() ||
-        digest == nullptr || !digest->is_string()) {
-      throw JournalError("tick record missing processed/digest");
-    }
-    record.processed = static_cast<std::uint64_t>(processed->as_number());
-    record.digest = digest->as_string();
-    return record;
-  }
-  if (kind == "sw") {
+    record.processed = integer_field(doc, "processed", 0, kMaxJsonInteger);
+    record.digest = string_field(doc, "digest");
+  } else if (kind == "sw") {
     record.kind = JournalLine::Kind::Switch;
-    const obs::json::Value* key = doc.find("key");
-    const obs::json::Value* at = doc.find("at");
-    const obs::json::Value* from = doc.find("from");
-    const obs::json::Value* to = doc.find("to");
-    if (key == nullptr || !key->is_string() || at == nullptr ||
-        !at->is_number() || from == nullptr || !from->is_string() ||
-        to == nullptr || !to->is_string()) {
-      throw JournalError("sw record missing key/at/from/to");
-    }
-    try {
-      // Hex-encoded: routing keys use all 64 bits (scenario hashes), which
-      // a JSON double cannot carry exactly.
-      record.sw.key = verify::parse_hex(key->as_string());
-    } catch (const std::invalid_argument&) {
-      throw JournalError("sw record has an undecodable key");
-    }
-    record.sw.at = static_cast<std::uint64_t>(at->as_number());
-    record.sw.from = from->as_string();
-    record.sw.to = to->as_string();
-    return record;
-  }
-  if (kind == "seal") {
+    // Hex-encoded: routing keys use all 64 bits (scenario hashes), which
+    // a JSON double cannot carry exactly.
+    record.sw.key = hex_field(doc, "key");
+    record.sw.at = integer_field(doc, "at", 0, kMaxJsonInteger);
+    record.sw.from = string_field(doc, "from");
+    record.sw.to = string_field(doc, "to");
+  } else if (kind == "seal") {
     record.kind = JournalLine::Kind::Seal;
-    const obs::json::Value* records = doc.find("records");
-    const obs::json::Value* digest = doc.find("digest");
-    if (records == nullptr || !records->is_number() || digest == nullptr ||
-        !digest->is_string()) {
-      throw JournalError("seal record missing records/digest");
-    }
-    record.seal_records = static_cast<std::uint64_t>(records->as_number());
-    record.digest = digest->as_string();
-    return record;
+    record.seal_records = integer_field(doc, "records", 0, kMaxJsonInteger);
+    record.digest = string_field(doc, "digest");
+  } else {
+    throw ProtocolError("unknown journal record type '" + kind + "'");
   }
-  throw JournalError("unknown journal record type '" + kind + "'");
+  return record;
+}
+
+/// Parses one chk-verified record payload. Throws JournalError on an
+/// envelope that verified its chk but does not decode — that is writer
+/// corruption, not a torn tail.
+[[nodiscard]] JournalLine parse_journal_line(std::string_view payload) {
+  try {
+    return decode_record(payload);
+  } catch (const ProtocolError& e) {
+    throw JournalError(std::string("undecodable journal record: ") +
+                       e.what());
+  }
 }
 
 [[nodiscard]] std::vector<std::pair<std::uint64_t, std::string>>
@@ -442,15 +411,14 @@ void JournalWriter::append_request(const Request& request) {
 
 void JournalWriter::append_switch(const SwitchRecord& record) {
   scratch_.clear();
-  scratch_ += "{\"type\":\"sw\",\"key\":\"";
-  scratch_ += verify::to_hex(record.key);
-  scratch_ += "\",\"at\":";
-  scratch_ += std::to_string(record.at);
-  scratch_ += ",\"from\":\"";
-  scratch_ += record.from;
-  scratch_ += "\",\"to\":\"";
-  scratch_ += record.to;
-  scratch_ += "\"";
+  scratch_ += "{\"type\":\"sw\",\"key\":";
+  obs::json::append_escaped(scratch_, verify::to_hex(record.key));
+  scratch_ += ",\"at\":";
+  append_number(scratch_, record.at);
+  scratch_ += ",\"from\":";
+  obs::json::append_escaped(scratch_, record.from);
+  scratch_ += ",\"to\":";
+  obs::json::append_escaped(scratch_, record.to);
   append_line(scratch_);
   ++stats_.switches;
   if (segment_records_ >= config_.max_segment_records) rotate();
@@ -461,10 +429,9 @@ void JournalWriter::append_tick(std::uint64_t processed,
                                 bool sync_now) {
   scratch_.clear();
   scratch_ += "{\"type\":\"tick\",\"processed\":";
-  scratch_ += std::to_string(processed);
-  scratch_ += ",\"digest\":\"";
-  scratch_ += digest_hex;
-  scratch_ += "\"";
+  append_number(scratch_, processed);
+  scratch_ += ",\"digest\":";
+  obs::json::append_escaped(scratch_, digest_hex);
   append_line(scratch_);
   ++stats_.ticks;
   if (config_.fsync == FsyncPolicy::Batch && sync_now) {
@@ -487,10 +454,9 @@ void JournalWriter::seal_segment() {
     // Seal trailer: record count + digest over every record line, so the
     // segment is end-to-end verifiable on the next load.
     std::string payload = "{\"type\":\"seal\",\"records\":";
-    payload += std::to_string(segment_records_);
-    payload += ",\"digest\":\"";
-    payload += verify::to_hex(seal_fold_.value());
-    payload += "\"";
+    append_number(payload, segment_records_);
+    payload += ",\"digest\":";
+    obs::json::append_escaped(payload, verify::to_hex(seal_fold_.value()));
     const std::string framed = with_chk(payload);
     pending_ += framed;
     pending_.push_back('\n');

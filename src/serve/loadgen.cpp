@@ -575,6 +575,10 @@ ChaosReport run_chaos(const LoadgenConfig& config) {
       "\"deadline\":1,\"budget\":1}",             // invalid values
       "\xff\xfe{\"type\":\"submit\"}",          // invalid UTF-8
       "{\"a\":\xc3\x28}",                        // overlong-ish broken UTF-8
+      "{\"type\":\"submit\",\"id\":1,\"procs\":4294967296,\"runtime\":100,"
+      "\"deadline\":1000,\"budget\":500}",      // procs past 32 bits
+      "{\"type\":\"submit\",\"id\":-1,\"procs\":1,\"runtime\":100,"
+      "\"deadline\":1000,\"budget\":500}",      // negative id
   };
 
   const auto attack_start = Clock::now();

@@ -1,22 +1,22 @@
 #include "serve/protocol.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <sstream>
+#include <limits>
 
-#include "core/advisor.hpp"
+#include "advise/advisor_engine.hpp"
 #include "obs/json.hpp"
+#include "policy/factory.hpp"
 #include "verify/digest.hpp"
 
 namespace utilrisk::serve {
 
-namespace {
-
 using obs::json::Value;
 
-[[nodiscard]] double number_field(const Value& object, std::string_view key) {
-  const Value* value = object.find(key);
+namespace {
+
+/// The number `value` (the member at `key`, null when absent) holds.
+[[nodiscard]] double number_at(const Value* value, std::string_view key) {
   if (value == nullptr) {
     throw ProtocolError("missing field '" + std::string(key) + "'");
   }
@@ -26,19 +26,37 @@ using obs::json::Value;
   return value->as_number();
 }
 
-[[nodiscard]] double number_field_or(const Value& object,
-                                     std::string_view key,
-                                     double fallback) {
-  const Value* value = object.find(key);
-  if (value == nullptr) return fallback;
-  if (!value->is_number()) {
-    throw ProtocolError("field '" + std::string(key) + "' must be a number");
-  }
-  return value->as_number();
+}  // namespace
+
+double number_field(const Value& object, std::string_view key) {
+  return number_at(object.find(key), key);
 }
 
-[[nodiscard]] const std::string& string_field(const Value& object,
-                                              std::string_view key) {
+double number_field_or(const Value& object, std::string_view key,
+                       double fallback) {
+  const Value* value = object.find(key);
+  return value == nullptr ? fallback : number_at(value, key);
+}
+
+std::uint64_t integer_field(const Value& object, std::string_view key,
+                            std::uint64_t min, std::uint64_t max,
+                            std::optional<std::uint64_t> fallback) {
+  const Value* member = object.find(key);
+  if (member == nullptr && fallback) return *fallback;
+  const double value = number_at(member, key);
+  // Compared as doubles: min and max are at most 2^53, so both convert
+  // exactly, and NaN or an infinity fails the range test.
+  if (!(value >= static_cast<double>(min) &&
+        value <= static_cast<double>(max)) ||
+      value != std::floor(value)) {
+    throw ProtocolError("'" + std::string(key) + "' must be an integer in [" +
+                        std::to_string(min) + ", " + std::to_string(max) +
+                        "]");
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
+const std::string& string_field(const Value& object, std::string_view key) {
   const Value* value = object.find(key);
   if (value == nullptr || !value->is_string()) {
     throw ProtocolError("missing string field '" + std::string(key) + "'");
@@ -46,10 +64,53 @@ using obs::json::Value;
   return value->as_string();
 }
 
-void require_finite(double value, const char* what) {
-  if (!std::isfinite(value)) {
-    throw ProtocolError(std::string(what) + " must be finite");
+std::uint64_t hex_field(const Value& object, std::string_view key) {
+  try {
+    return verify::parse_hex(string_field(object, key));
+  } catch (const std::invalid_argument&) {
+    throw ProtocolError("field '" + std::string(key) + "' must be hex");
   }
+}
+
+namespace {
+
+/// `value` must lie in [0, max], or in (0, max] when `positive`; NaN and
+/// the infinities fail both tests.
+void require_range(double value, const char* what, bool positive,
+                   double max) {
+  if (!(positive ? value > 0.0 : value >= 0.0) || !(value <= max)) {
+    std::string bound;
+    append_number(bound, max);
+    throw ProtocolError(std::string(what) + " must be in " +
+                        (positive ? "(0, " : "[0, ") + bound + "]");
+  }
+}
+
+/// Reads an optional array of 4 numbers into `into` (left as is when the
+/// key is absent).
+void read_array4(const Value& doc, std::string_view key,
+                 std::array<double, 4>& into) {
+  const Value* value = doc.find(key);
+  if (value == nullptr) return;
+  const auto refuse = [key] {
+    return ProtocolError("field '" + std::string(key) +
+                         "' must be an array of 4 numbers");
+  };
+  if (!value->is_array() || value->as_array().size() != 4) throw refuse();
+  for (std::size_t o = 0; o < 4; ++o) {
+    const Value& entry = value->as_array()[o];
+    if (!entry.is_number()) throw refuse();
+    into[o] = entry.as_number();
+  }
+}
+
+void append_array4(std::string& out, const std::array<double, 4>& values) {
+  out += '[';
+  for (std::size_t o = 0; o < values.size(); ++o) {
+    if (o != 0) out += ',';
+    append_number(out, values[o]);
+  }
+  out += ']';
 }
 
 /// Input-derived text that gets echoed back in an error message: clamp
@@ -127,14 +188,12 @@ const char* to_string(Status status) {
 
 namespace {
 
-/// Shared routing-field parsing (tenant + scenario) for both verbs.
-void parse_routing_fields(const Value& doc, Request& request) {
-  const double tenant = number_field_or(doc, "tenant", 0.0);
-  if (tenant < 0.0 || tenant != std::floor(tenant) ||
-      tenant > static_cast<double>(UINT32_MAX)) {
-    throw ProtocolError("'tenant' must be an integer in [0, 2^32)");
-  }
-  request.tenant = static_cast<std::uint32_t>(tenant);
+/// Shared parsing of the correlation id and the routing fields (tenant +
+/// scenario) for both verbs.
+void parse_id_and_routing(const Value& doc, Request& request) {
+  request.id = integer_field(doc, "id", 0, kMaxJsonInteger);
+  request.tenant = static_cast<std::uint32_t>(
+      integer_field(doc, "tenant", 0, UINT32_MAX, 0));
   if (const Value* scenario = doc.find("scenario"); scenario != nullptr) {
     if (!scenario->is_string()) {
       throw ProtocolError("'scenario' must be a string");
@@ -152,30 +211,14 @@ void parse_routing_fields(const Value& doc, Request& request) {
 [[nodiscard]] Request parse_advise(const Value& doc) {
   Request request;
   request.kind = RequestKind::Advise;
-  request.id = static_cast<std::uint64_t>(number_field(doc, "id"));
-  parse_routing_fields(doc, request);
-  if (const Value* weights = doc.find("weights"); weights != nullptr) {
-    if (!weights->is_array() || weights->as_array().size() != 4) {
-      throw ProtocolError("'weights' must be an array of 4 numbers "
-                          "(wait, SLA, reliability, profitability)");
-    }
-    for (std::size_t o = 0; o < 4; ++o) {
-      const Value& entry = weights->as_array()[o];
-      if (!entry.is_number()) {
-        throw ProtocolError("'weights' must be an array of 4 numbers "
-                            "(wait, SLA, reliability, profitability)");
-      }
-      request.weights[o] = entry.as_number();
-    }
-  }
-  request.risk_aversion = number_field_or(doc, "risk_aversion", 0.5);
+  parse_id_and_routing(doc, request);
+  read_array4(doc, "weights", request.scoring.objective_weights);
+  request.scoring.risk_aversion =
+      number_field_or(doc, "risk_aversion", request.scoring.risk_aversion);
   // The structured advisor-config rules (finite weights in [0,1] summing
   // to 1, finite non-negative risk aversion) become protocol errors.
-  core::AdvisorConfig scoring;
-  scoring.objective_weights = request.weights;
-  scoring.risk_aversion = request.risk_aversion;
   try {
-    scoring.validate();
+    request.scoring.validate();
   } catch (const std::invalid_argument& e) {
     throw ProtocolError(e.what());
   }
@@ -207,20 +250,16 @@ Request parse_request(std::string_view line) {
   }
 
   Request request;
-  request.id = static_cast<std::uint64_t>(number_field(doc, "id"));
+  parse_id_and_routing(doc, request);
   request.submit_time = number_field_or(doc, "t", 0.0);
-  const double procs = number_field(doc, "procs");
-  if (procs < 1.0 || procs != std::floor(procs)) {
-    throw ProtocolError("'procs' must be a positive integer");
-  }
-  request.procs = static_cast<std::uint32_t>(procs);
+  request.procs =
+      static_cast<std::uint32_t>(integer_field(doc, "procs", 1, UINT32_MAX));
   request.runtime = number_field(doc, "runtime");
   request.estimate = number_field_or(doc, "estimate", request.runtime);
   request.deadline = number_field(doc, "deadline");
   request.budget = number_field(doc, "budget");
   request.penalty_rate = number_field_or(doc, "penalty", 0.0);
   request.deadline_ms = number_field_or(doc, "deadline_ms", 0.0);
-  parse_routing_fields(doc, request);
   if (const Value* urgency = doc.find("urgency"); urgency != nullptr) {
     // is_string first: as_string() on a non-string throws a plain
     // runtime_error, which would escape the server's ProtocolError
@@ -239,40 +278,16 @@ Request parse_request(std::string_view line) {
     }
   }
 
-  require_finite(request.submit_time, "'t'");
-  if (request.submit_time < 0.0) throw ProtocolError("'t' must be >= 0");
-  require_finite(request.runtime, "'runtime'");
-  if (request.runtime <= 0.0) throw ProtocolError("'runtime' must be > 0");
-  require_finite(request.estimate, "'estimate'");
-  if (request.estimate <= 0.0) throw ProtocolError("'estimate' must be > 0");
-  require_finite(request.deadline, "'deadline'");
-  if (request.deadline <= 0.0) throw ProtocolError("'deadline' must be > 0");
-  require_finite(request.budget, "'budget'");
-  if (request.budget < 0.0) throw ProtocolError("'budget' must be >= 0");
-  require_finite(request.penalty_rate, "'penalty'");
-  if (request.penalty_rate < 0.0) {
-    throw ProtocolError("'penalty' must be >= 0");
-  }
-  require_finite(request.deadline_ms, "'deadline_ms'");
-  if (request.deadline_ms < 0.0) {
-    throw ProtocolError("'deadline_ms' must be >= 0");
-  }
+  require_range(request.submit_time, "'t'", false, kMaxTimeSeconds);
+  require_range(request.runtime, "'runtime'", true, kMaxTimeSeconds);
+  require_range(request.estimate, "'estimate'", true, kMaxTimeSeconds);
+  require_range(request.deadline, "'deadline'", true, kMaxTimeSeconds);
+  require_range(request.budget, "'budget'", false, kMaxMoney);
+  require_range(request.penalty_rate, "'penalty'", false, kMaxMoney);
+  require_range(request.deadline_ms, "'deadline_ms'", false,
+                std::numeric_limits<double>::max());
   return request;
 }
-
-namespace {
-
-/// Shortest-round-trip number append (std::to_chars): the encoders sit on
-/// the journal's write-ahead path, where ostringstream's locale machinery
-/// is measurable per-request overhead.
-template <typename T>
-void append_number(std::string& out, T value) {
-  char buf[32];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
-  out.append(buf, result.ptr);
-}
-
-}  // namespace
 
 std::string encode_request(const Request& request) {
   std::string out;
@@ -292,9 +307,7 @@ void append_routing_fields(std::string& out, const Request& request) {
   }
   if (!request.scenario.empty()) {
     out += ",\"scenario\":";
-    std::ostringstream escaped;
-    obs::json::write_escaped(escaped, request.scenario);
-    out += escaped.str();
+    obs::json::append_escaped(out, request.scenario);
   }
 }
 
@@ -304,13 +317,10 @@ void encode_request_to(std::string& out, const Request& request) {
   if (request.kind == RequestKind::Advise) {
     out += "{\"type\":\"advise\",\"id\":";
     append_number(out, request.id);
-    out += ",\"weights\":[";
-    for (std::size_t o = 0; o < request.weights.size(); ++o) {
-      if (o != 0) out += ',';
-      append_number(out, request.weights[o]);
-    }
-    out += "],\"risk_aversion\":";
-    append_number(out, request.risk_aversion);
+    out += ",\"weights\":";
+    append_array4(out, request.scoring.objective_weights);
+    out += ",\"risk_aversion\":";
+    append_number(out, request.scoring.risk_aversion);
     append_routing_fields(out, request);
     out += '}';
     return;
@@ -358,7 +368,7 @@ Response parse_response(std::string_view line) {
   if (!doc.is_object()) throw ProtocolError("response must be a JSON object");
 
   Response response;
-  response.id = static_cast<std::uint64_t>(number_field(doc, "id"));
+  response.id = integer_field(doc, "id", 0, kMaxJsonInteger);
   const std::string& status = string_field(doc, "status");
   if (status == "accepted") {
     response.status = Status::Accepted;
@@ -380,44 +390,27 @@ Response parse_response(std::string_view line) {
   response.risk = number_field_or(doc, "risk", 0.0);
   response.virtual_time = number_field_or(doc, "t", 0.0);
   response.retry_after_ms = number_field_or(doc, "retry_after_ms", 0.0);
-  response.tenant =
-      static_cast<std::uint32_t>(number_field_or(doc, "tenant", 0.0));
-  response.shard = static_cast<int>(number_field_or(doc, "shard", -1.0));
+  response.tenant = static_cast<std::uint32_t>(
+      integer_field(doc, "tenant", 0, UINT32_MAX, 0));
+  if (doc.find("shard") != nullptr) {
+    response.shard = static_cast<int>(
+        integer_field(doc, "shard", 0, std::numeric_limits<int>::max()));
+  }
   if (const Value* message = doc.find("message");
       message != nullptr && message->is_string()) {
     response.message = message->as_string();
   }
   if (response.status == Status::Advice) {
-    auto body = std::make_shared<AdviceBody>();
+    auto body = std::make_shared<advise::Snapshot>();
     body->active = string_field(doc, "active");
     body->recommended = string_field(doc, "recommended");
-    body->decided =
-        static_cast<std::uint64_t>(number_field_or(doc, "decided", 0.0));
+    body->decided = integer_field(doc, "decided", 0, kMaxJsonInteger, 0);
     body->evaluations =
-        static_cast<std::uint64_t>(number_field_or(doc, "evaluations", 0.0));
-    body->switches =
-        static_cast<std::uint64_t>(number_field_or(doc, "switches", 0.0));
-    body->samples =
-        static_cast<std::uint64_t>(number_field_or(doc, "samples", 0.0));
-    const auto read_array4 = [&doc](std::string_view key,
-                                    std::array<double, 4>& into) {
-      const Value* value = doc.find(key);
-      if (value == nullptr) return;
-      if (!value->is_array() || value->as_array().size() != 4) {
-        throw ProtocolError("field '" + std::string(key) +
-                            "' must be an array of 4 numbers");
-      }
-      for (std::size_t o = 0; o < 4; ++o) {
-        const Value& entry = value->as_array()[o];
-        if (!entry.is_number()) {
-          throw ProtocolError("field '" + std::string(key) +
-                              "' must be an array of 4 numbers");
-        }
-        into[o] = entry.as_number();
-      }
-    };
-    read_array4("estimate_mean", body->estimate_mean);
-    read_array4("estimate_stddev", body->estimate_stddev);
+        integer_field(doc, "evaluations", 0, kMaxJsonInteger, 0);
+    body->switches = integer_field(doc, "switches", 0, kMaxJsonInteger, 0);
+    body->samples = integer_field(doc, "samples", 0, kMaxJsonInteger, 0);
+    read_array4(doc, "estimate_mean", body->estimate_mean);
+    read_array4(doc, "estimate_stddev", body->estimate_stddev);
     if (const Value* ranked = doc.find("ranked"); ranked != nullptr) {
       if (!ranked->is_array()) {
         throw ProtocolError("field 'ranked' must be an array");
@@ -426,18 +419,20 @@ Response parse_response(std::string_view line) {
         if (!entry.is_object()) {
           throw ProtocolError("'ranked' entries must be objects");
         }
-        RankedPolicyWire row;
+        advise::RankedPolicy& row = body->ranked.emplace_back();
         row.policy = string_field(entry, "policy");
+        try {
+          row.kind = policy::parse_policy_kind(row.policy);
+        } catch (const std::invalid_argument&) {
+          throw ProtocolError("'ranked' names an unknown policy '" +
+                              sanitize_echo(row.policy) + "'");
+        }
         row.score = number_field(entry, "score");
         row.performance = number_field(entry, "performance");
         row.volatility = number_field(entry, "volatility");
-        body->ranked.push_back(std::move(row));
       }
     }
-    if (const Value* digest = doc.find("digest");
-        digest != nullptr && digest->is_string()) {
-      body->digest = digest->as_string();
-    }
+    body->digest = hex_field(doc, "digest");
     response.advice = std::move(body);
   }
   return response;
@@ -476,34 +471,20 @@ std::string encode_response(const Response& response) {
       append_number(out, response.retry_after_ms);
       break;
     case Status::Shed:
-    case Status::Error: {
+    case Status::Error:
       out += ",\"message\":";
-      std::ostringstream escaped;
-      obs::json::write_escaped(escaped, response.message);
-      out += escaped.str();
+      obs::json::append_escaped(out, response.message);
       break;
-    }
     case Status::Advice: {
-      const auto append_string = [&out](std::string_view text) {
-        std::ostringstream escaped;
-        obs::json::write_escaped(escaped, text);
-        out += escaped.str();
-      };
-      const auto append_array4 = [&out](const std::array<double, 4>& values) {
-        out += '[';
-        for (std::size_t o = 0; o < values.size(); ++o) {
-          if (o != 0) out += ',';
-          append_number(out, values[o]);
-        }
-        out += ']';
-      };
-      static const AdviceBody kEmptyAdvice;
-      const AdviceBody& body =
+      // A body-less advice response (which no engine path produces)
+      // encodes as the empty snapshot.
+      static const advise::Snapshot kEmptyAdvice;
+      const advise::Snapshot& body =
           response.advice != nullptr ? *response.advice : kEmptyAdvice;
       out += ",\"active\":";
-      append_string(body.active);
+      obs::json::append_escaped(out, body.active);
       out += ",\"recommended\":";
-      append_string(body.recommended);
+      obs::json::append_escaped(out, body.recommended);
       out += ",\"decided\":";
       append_number(out, body.decided);
       out += ",\"evaluations\":";
@@ -513,14 +494,14 @@ std::string encode_response(const Response& response) {
       out += ",\"samples\":";
       append_number(out, body.samples);
       out += ",\"estimate_mean\":";
-      append_array4(body.estimate_mean);
+      append_array4(out, body.estimate_mean);
       out += ",\"estimate_stddev\":";
-      append_array4(body.estimate_stddev);
+      append_array4(out, body.estimate_stddev);
       out += ",\"ranked\":[";
       for (std::size_t r = 0; r < body.ranked.size(); ++r) {
         if (r != 0) out += ',';
         out += "{\"policy\":";
-        append_string(body.ranked[r].policy);
+        obs::json::append_escaped(out, body.ranked[r].policy);
         out += ",\"score\":";
         append_number(out, body.ranked[r].score);
         out += ",\"performance\":";
@@ -529,8 +510,9 @@ std::string encode_response(const Response& response) {
         append_number(out, body.ranked[r].volatility);
         out += '}';
       }
-      out += "],\"digest\":";
-      append_string(body.digest);
+      out += "],\"digest\":\"";
+      out += verify::to_hex(body.digest);
+      out += '"';
       if (response.tenant != 0) {
         out += ",\"tenant\":";
         append_number(out, response.tenant);

@@ -24,20 +24,32 @@
 //    "ranked":[...],"digest":"..."}                   (docs/ADVISOR.md)
 //   {"id":0,"status":"error","message":"parse error at offset 12"}
 //
-// Encoding/decoding reuses obs::json; malformed input raises
+// Decoding parses with obs::json and reads every field through the typed
+// readers below; encoding writes one line with append_number and
+// obs::json::append_escaped. The journal (serve/journal.hpp) reads and
+// writes its own records with the same helpers. Malformed input raises
 // ProtocolError with a user-facing message that the server echoes back in
 // an `error` response instead of dying.
 #pragma once
 
-#include <array>
+#include <charconv>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
+#include "core/advisor.hpp"
 #include "workload/job.hpp"
+
+namespace utilrisk::obs::json {
+class Value;
+}  // namespace utilrisk::obs::json
+
+namespace utilrisk::advise {
+struct Snapshot;
+}  // namespace utilrisk::advise
 
 namespace utilrisk::serve {
 
@@ -45,6 +57,16 @@ namespace utilrisk::serve {
 /// this are rejected with an `error` response before JSON parsing — a
 /// mis-framed or hostile client must not balloon server memory.
 inline constexpr std::size_t kMaxRequestBytes = 16 * 1024;
+
+/// Upper bound on a request's time fields (`t`, `runtime`, `estimate`,
+/// `deadline`): 2^32 s, about 136 years. Together with kMaxMoney it keeps
+/// every sum and product the engine forms from a request finite.
+inline constexpr double kMaxTimeSeconds = 4294967296.0;
+/// Upper bound on a request's money fields (`budget`, `penalty`): 2^53.
+inline constexpr double kMaxMoney = 9007199254740992.0;
+/// 2^53: a JSON number, a double, holds every integer up to it exactly.
+/// The cap on ids and counters.
+inline constexpr std::uint64_t kMaxJsonInteger = std::uint64_t{1} << 53;
 
 /// Thrown by the parse functions on malformed or invalid input; the
 /// message is sent back to the client verbatim.
@@ -101,11 +123,10 @@ struct Request {
 
   // --- advise-only fields (RequestKind::Advise) -------------------------
   RequestKind kind = RequestKind::Submit;
-  /// Objective weights (wait, SLA, reliability, profitability); must sum
-  /// to 1. Equal split when the line omits "weights".
-  std::array<double, 4> weights = {0.25, 0.25, 0.25, 0.25};
-  /// mean - lambda * sigma risk aversion; 0.5 when omitted.
-  double risk_aversion = 0.5;
+  /// The caller's preferences: objective weights (wait, SLA, reliability,
+  /// profitability; an equal split when the line omits "weights") and
+  /// risk aversion (0.5 when the line omits "risk_aversion").
+  core::AdvisorConfig scoring;
 };
 
 enum class Status : std::uint8_t {
@@ -146,47 +167,22 @@ struct Response {
   int shard = -1;
   /// Human-readable diagnostic (Status::Error only).
   std::string message;
-  /// Advisor answer (Status::Advice only, null otherwise); shared_ptr so
-  /// Response stays cheap to copy through the queue/buffer plumbing.
-  std::shared_ptr<struct AdviceBody> advice;
-};
-
-/// One ranked candidate in an advice response.
-struct RankedPolicyWire {
-  std::string policy;
-  double score = 0.0;
-  double performance = 0.0;
-  double volatility = 0.0;
-};
-
-/// Body of an `advise` response: the routing key's live advisor state
-/// scored under the caller's preferences.
-struct AdviceBody {
-  std::string active;       ///< the key's currently active policy
-  std::string recommended;  ///< best-ranked candidate (== active when the
-                            ///< advisor has no data yet)
-  std::uint64_t decided = 0;
-  std::uint64_t evaluations = 0;
-  std::uint64_t switches = 0;
-  std::uint64_t samples = 0;
-  /// Live observed objective estimates, kAllObjectives order (wait, SLA,
-  /// reliability, profitability) — raw objective units.
-  std::array<double, 4> estimate_mean{};
-  std::array<double, 4> estimate_stddev{};
-  std::vector<RankedPolicyWire> ranked;  ///< best first
-  /// Recommendation digest, 16 lowercase hex chars: a pure function of
-  /// the advisor state + preferences, so identical histories answer
-  /// identically (docs/DETERMINISM.md).
-  std::string digest;
+  /// Advisor answer (Status::Advice only, null otherwise): the routing
+  /// key's advisor state scored under the caller's preferences, exactly as
+  /// advise::AdvisorEngine::query returned it. On the wire its digest is
+  /// 16 lowercase hex chars. shared_ptr so Response stays cheap to copy
+  /// through the queue/buffer plumbing.
+  std::shared_ptr<const advise::Snapshot> advice;
 };
 
 /// Parses one request line. Throws ProtocolError — and only
 /// ProtocolError, whatever the input bytes — on malformed JSON, invalid
 /// UTF-8, over-deep nesting, wrong/missing/mis-typed fields, or values
-/// that violate SLA preconditions (non-positive runtime/deadline,
-/// negative budget/penalty, zero procs). The error message is safe to
-/// echo to a peer: input-derived fragments are sanitised to printable
-/// ASCII and length-clamped.
+/// that violate SLA preconditions: an id outside [0, 2^53], procs outside
+/// [1, 2^32), non-positive runtime/estimate/deadline, negative
+/// budget/penalty, or a time or money field above its bound. The error
+/// message is safe to echo to a peer: input-derived fragments are
+/// sanitised to printable ASCII and length-clamped.
 [[nodiscard]] Request parse_request(std::string_view line);
 
 /// Serialises a request to one line (no trailing newline).
@@ -197,11 +193,45 @@ struct AdviceBody {
 void encode_request_to(std::string& out, const Request& request);
 
 /// Parses one response line (used by the load generator). Throws
-/// ProtocolError on malformed input.
+/// ProtocolError on malformed input, including an advice body whose
+/// digest is not hex or whose ranking names an unknown policy.
 [[nodiscard]] Response parse_response(std::string_view line);
 
 /// Serialises a response to one line (no trailing newline).
 [[nodiscard]] std::string encode_response(const Response& response);
+
+// --- field codec ------------------------------------------------------------
+// Every NDJSON line serve reads or writes — wire requests and responses,
+// and the journal's records — goes through these. A reader throws
+// ProtocolError naming the field when it is missing or mis-typed.
+
+/// The number at `key`.
+[[nodiscard]] double number_field(const obs::json::Value& object,
+                                  std::string_view key);
+/// The number at `key`, or `fallback` when the key is absent.
+[[nodiscard]] double number_field_or(const obs::json::Value& object,
+                                     std::string_view key, double fallback);
+/// The integer at `key`, which must lie in [min, max] (max at most
+/// kMaxJsonInteger); `fallback` when the key is absent, an error when
+/// there is none.
+[[nodiscard]] std::uint64_t integer_field(
+    const obs::json::Value& object, std::string_view key, std::uint64_t min,
+    std::uint64_t max, std::optional<std::uint64_t> fallback = std::nullopt);
+/// The string at `key`.
+[[nodiscard]] const std::string& string_field(const obs::json::Value& object,
+                                              std::string_view key);
+/// The 64-bit value at `key`, written as 1..16 hex chars (verify::to_hex).
+[[nodiscard]] std::uint64_t hex_field(const obs::json::Value& object,
+                                      std::string_view key);
+
+/// Appends the shortest decimal that reads back as `value` (std::to_chars:
+/// no locale, no allocation).
+template <typename T>
+void append_number(std::string& out, T value) {
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  out.append(buf, result.ptr);
+}
 
 /// Converts a request to the job the simulation backend runs. `job_id` is
 /// the engine-assigned internal id (client ids are 64-bit and may collide

@@ -51,12 +51,6 @@ class ComputingService : public sim::Entity, public policy::PolicyHost {
   }
   [[nodiscard]] economy::EconomicModel model() const { return model_; }
 
-  /// The fault injector, or nullptr when failure injection is disabled
-  /// (context.failure.mtbf_seconds not finite-positive).
-  [[nodiscard]] const cluster::FailureInjector* failure_injector() const {
-    return injector_.get();
-  }
-
   // --- PolicyHost -------------------------------------------------------
   void notify_accepted(const workload::Job& job,
                        economy::Money quoted_cost) override;

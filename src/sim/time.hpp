@@ -7,7 +7,6 @@
 // natural.
 #pragma once
 
-#include <cmath>
 #include <limits>
 
 namespace utilrisk::sim {
@@ -22,27 +21,14 @@ inline constexpr SimTime kTimeNever = std::numeric_limits<SimTime>::infinity();
 /// ulps of error; anything below a microsecond is "equal" for scheduling).
 inline constexpr SimTime kTimeEpsilon = 1e-6;
 
-/// True if |a - b| <= kTimeEpsilon.
-[[nodiscard]] inline bool time_almost_equal(SimTime a, SimTime b) {
-  return std::fabs(a - b) <= kTimeEpsilon;
-}
-
-/// True if a is strictly before b beyond the epsilon slack.
-[[nodiscard]] inline bool time_before(SimTime a, SimTime b) {
-  return a < b - kTimeEpsilon;
-}
-
 /// Clamp tiny negative values (from floating-point cancellation) to zero.
 [[nodiscard]] inline SimTime clamp_nonnegative(SimTime t) {
   return t < 0.0 && t > -kTimeEpsilon ? 0.0 : t;
 }
 
 namespace duration {
-inline constexpr SimTime kSecond = 1.0;
-inline constexpr SimTime kMinute = 60.0;
 inline constexpr SimTime kHour = 3600.0;
 inline constexpr SimTime kDay = 86400.0;
-inline constexpr SimTime kWeek = 7.0 * kDay;
 }  // namespace duration
 
 }  // namespace utilrisk::sim

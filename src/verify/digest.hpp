@@ -42,10 +42,6 @@ class DigestStream {
     }
   }
 
-  void put_i64(std::int64_t value) {
-    put_u64(static_cast<std::uint64_t>(value));
-  }
-
   void put_bool(bool value) { put_byte(value ? 1 : 0); }
 
   void put_double(double value) { put_u64(canonical_double_bits(value)); }

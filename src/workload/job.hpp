@@ -77,12 +77,6 @@ struct Job {
   [[nodiscard]] double work() const {
     return actual_runtime * static_cast<double>(procs);
   }
-
-  /// True if the estimate is below the real runtime (the 8% tail in the
-  /// SDSC SP2 subset).
-  [[nodiscard]] bool underestimated() const {
-    return estimated_runtime < actual_runtime;
-  }
 };
 
 /// Outcome of one job's SLA lifecycle, recorded by the service.

@@ -1,6 +1,8 @@
 // Tests for the cluster executors: space-shared allocation and EASY
 // availability estimation; time-shared proportional-share integration,
-// work conservation and completion semantics.
+// work conservation and completion semantics, down to a clock too coarse
+// to advance. A regression there hangs rather than fails, so the suite
+// runs under a ctest timeout.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +11,8 @@
 
 #include "cluster/space_shared.hpp"
 #include "cluster/time_shared.hpp"
+#include "policy/factory.hpp"
+#include "service/computing_service.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
@@ -278,6 +282,32 @@ TEST(TimeSharedTest, BusyProcSecondsIsWorkConserving) {
   simk.run();
   // Node 0 busy from 0 to 100 (both tasks at rate .5, 100 proc-seconds).
   EXPECT_NEAR(cluster.busy_proc_seconds(), 100.0, 1e-6);
+}
+
+TEST(TimeSharedTest, TaskShorterThanHalfAnUlpOfTheClockCompletes) {
+  // At 1e12 s half an ulp of the clock is 6.1e-5 s, at 1e15 s 0.0625 s:
+  // each job's whole runtime fits inside it, so its completion time
+  // rounds back to its start. The run must still end with the job done.
+  struct Case {
+    double submit;
+    double runtime;
+    double deadline;
+  };
+  for (const Case c : {Case{1e12, 5e-5, 1.0}, Case{1e15, 0.05, 10.0}}) {
+    workload::Job job = make_job(1, 1, c.runtime);
+    job.submit_time = c.submit;
+    job.deadline_duration = c.deadline;
+    job.budget = 1.0;
+    for (const policy::PolicyKind kind :
+         {policy::PolicyKind::Libra, policy::PolicyKind::LibraDollar,
+          policy::PolicyKind::LibraRiskD, policy::PolicyKind::LibraReserve}) {
+      const service::SimulationReport report = service::simulate(
+          {job}, service::factory_for(kind), policy::PolicyContext{});
+      EXPECT_EQ(report.inputs.accepted, 1u) << policy::to_string(kind);
+      EXPECT_EQ(report.inputs.fulfilled, 1u) << policy::to_string(kind);
+      EXPECT_EQ(report.end_time, c.submit) << policy::to_string(kind);
+    }
+  }
 }
 
 // Property sweep: with total share <= 1 and accurate estimates, every job

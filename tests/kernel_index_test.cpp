@@ -625,16 +625,25 @@ class FullScanLibraPolicy : public policy::LibraPolicy {
   }
 };
 
-TEST(LibraSelectionTest, IndexedEqualsFullScanOnTheScaledTrace) {
-  // bench_kernel_scaling's 1,024-node scenario: at this width the index
-  // spans many blocks, so a real trace drives its splits, merges and
-  // cross-block moves.
+/// bench_kernel_scaling's 1,024-node scenario.
+[[nodiscard]] std::vector<workload::Job> scaled_trace_1024() {
   const workload::WorkloadBuilder builder(
       workload::scaled_sdsc_config(1024, 5000));
-  const auto jobs = builder.build(workload::QosConfig{}, 0.25, 100.0);
+  return builder.build(workload::QosConfig{}, 0.25, 100.0);
+}
+
+[[nodiscard]] policy::PolicyContext scaled_context_1024() {
   policy::PolicyContext context;
   context.machine.node_count = 1024;
   context.model = economy::EconomicModel::BidBased;
+  return context;
+}
+
+TEST(LibraSelectionTest, IndexedEqualsFullScanOnTheScaledTrace) {
+  // At this width the index spans many blocks, so a real trace drives its
+  // splits, merges and cross-block moves.
+  const auto jobs = scaled_trace_1024();
+  const policy::PolicyContext context = scaled_context_1024();
   const auto indexed = service::simulate(
       jobs, service::factory_for(policy::PolicyKind::Libra), context);
   const service::PolicyFactory full_scan =
@@ -645,6 +654,14 @@ TEST(LibraSelectionTest, IndexedEqualsFullScanOnTheScaledTrace) {
   EXPECT_EQ(indexed.digest, scanned.digest);
   EXPECT_EQ(indexed.digest, "3faa4b3aa174b0b5");
   EXPECT_EQ(indexed.events_dispatched, scanned.events_dispatched);
+}
+
+TEST(LibraSelectionTest, FcfsBfDigestOnTheScaledTraceIsPinned) {
+  // The space-shared side of the same scenario, pinned beside Libra's.
+  const auto report = service::simulate(
+      scaled_trace_1024(), service::factory_for(policy::PolicyKind::FcfsBf),
+      scaled_context_1024());
+  EXPECT_EQ(report.digest, "bf08ddb117d1715f");
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -23,6 +24,8 @@
 #include <thread>
 #include <vector>
 
+#include "advise/advisor_engine.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "serve/bounded_queue.hpp"
 #include "serve/engine.hpp"
@@ -464,6 +467,58 @@ TEST(SocketServerTest, OverloadWithDeadlinesShedsAndStillAnswersEveryRequest) {
 
 // -------------------------------------------------- protocol hostile corpus
 
+/// Valid JSON lines whose values the engine cannot honour: each once
+/// crashed the server, wedged it, or was decided on a value it did not
+/// send. parse_request must refuse every one.
+const std::vector<std::string>& out_of_range_lines() {
+  static const std::vector<std::string> lines = {
+      // procs past 32 bits: wrapped to 0 (a crash on the engine thread) or
+      // to 1.
+      R"({"type":"submit","id":1,"procs":4294967296,"runtime":100,"deadline":1000,"budget":500})",
+      R"({"type":"submit","id":1,"procs":1e20,"runtime":100,"deadline":1000,"budget":500})",
+      R"({"type":"submit","id":1,"procs":4294967297,"runtime":100,"deadline":1000,"budget":500})",
+      // ids that were echoed as another number.
+      R"({"type":"submit","id":-1,"procs":1,"runtime":100,"deadline":1000,"budget":500})",
+      R"({"type":"submit","id":1e300,"procs":1,"runtime":100,"deadline":1000,"budget":500})",
+      R"({"type":"submit","id":7.9,"procs":1,"runtime":100,"deadline":1000,"budget":500})",
+      R"({"type":"advise","id":-1})",
+      R"({"type":"advise","id":7.9})",
+      // Times whose sums overflow the event queue or the risk index.
+      R"({"type":"submit","id":1,"t":1.7e308,"procs":1,"runtime":1e308,"deadline":1e308,"budget":1})",
+      R"({"type":"submit","id":1,"procs":128,"runtime":1e308,"deadline":1.7e308,"budget":1})",
+      // Instants whose half-ulp exceeds the job: the time-shared executor
+      // could not advance its clock.
+      R"({"type":"submit","id":1,"t":1e12,"procs":1,"runtime":5e-5,"deadline":1,"budget":1})",
+      R"({"type":"submit","id":1,"t":1e15,"procs":1,"runtime":0.05,"deadline":10,"budget":1})",
+      R"({"type":"submit","id":1,"procs":1,"runtime":100,"deadline":1000,"budget":1e300})",
+      R"({"type":"submit","id":1,"procs":1,"runtime":100,"deadline":1000,"budget":1,"penalty":1e300})",
+  };
+  return lines;
+}
+
+/// Every precondition a request parse_request accepts must meet.
+void expect_honourable(const Request& request, const std::string& line) {
+  EXPECT_LE(request.id, kMaxJsonInteger) << line;
+  if (request.kind == RequestKind::Advise) {
+    EXPECT_NO_THROW(request.scoring.validate()) << line;
+    return;
+  }
+  EXPECT_GE(request.procs, 1u) << line;
+  EXPECT_GE(request.submit_time, 0.0) << line;
+  EXPECT_LE(request.submit_time, kMaxTimeSeconds) << line;
+  for (const double time : {request.runtime, request.estimate,
+                            request.deadline}) {
+    EXPECT_GT(time, 0.0) << line;
+    EXPECT_LE(time, kMaxTimeSeconds) << line;
+  }
+  for (const double money : {request.budget, request.penalty_rate}) {
+    EXPECT_GE(money, 0.0) << line;
+    EXPECT_LE(money, kMaxMoney) << line;
+  }
+  EXPECT_TRUE(std::isfinite(request.deadline_ms)) << line;
+  EXPECT_GE(request.deadline_ms, 0.0) << line;
+}
+
 TEST(ProtocolTest, HostileCorpusNeverEscapesProtocolError) {
   // Every line here is hostile in a different way; parse_request's
   // contract is "ProtocolError and only ProtocolError, whatever the
@@ -513,13 +568,14 @@ TEST(ProtocolTest, HostileCorpusNeverEscapesProtocolError) {
   oversized.append(kMaxRequestBytes + 10, 'x');
   oversized += "\"}";
   corpus.push_back(std::move(oversized));
+  corpus.insert(corpus.end(), out_of_range_lines().begin(),
+                out_of_range_lines().end());
 
   for (const std::string& line : corpus) {
     try {
-      const Request request = parse_request(line);
       // A duplicate-keys document may legitimately parse; anything the
       // parser accepts must satisfy the SLA preconditions.
-      EXPECT_GT(request.runtime, 0.0);
+      expect_honourable(parse_request(line), line);
     } catch (const ProtocolError&) {
       // The contract: this is the only exception type allowed out.
     } catch (const std::exception& e) {
@@ -560,6 +616,53 @@ TEST(StdioServerTest, HostileLinesGetErrorResponsesAndServerSurvives) {
   }
   EXPECT_EQ(errors, 3u);
   EXPECT_EQ(decisions, 1u) << "the valid request still got its decision";
+}
+
+/// Pipes each out-of-range line, then one valid request, through a stdio
+/// server over `config`'s engine. Every line must be answered: the hostile
+/// ones with `error`, the valid one with its decision.
+void expect_out_of_range_lines_refused(const EngineConfig& config) {
+  AdmissionEngine engine(config);
+  engine.start();
+  Server server(ServerConfig{}, engine);
+  std::string input;
+  for (const std::string& line : out_of_range_lines()) input += line + "\n";
+  input += encode_request(make_request(5, 1.0)) + "\n";
+  std::istringstream in(input);
+  std::ostringstream out;
+  const ServerStats stats = server.run_stdio(in, out);
+  EXPECT_EQ(stats.responses, out_of_range_lines().size() + 1);
+
+  std::istringstream replies(out.str());
+  std::string line;
+  std::size_t errors = 0;
+  std::vector<std::uint64_t> decided;
+  while (std::getline(replies, line)) {
+    const Response response = parse_response(line);
+    if (response.status == Status::Error) {
+      ++errors;
+    } else {
+      decided.push_back(response.id);
+    }
+  }
+  EXPECT_EQ(errors, out_of_range_lines().size());
+  EXPECT_EQ(decided, std::vector<std::uint64_t>{5})
+      << "the valid request after them is still decided";
+}
+
+TEST(StdioServerTest, OutOfRangeFieldsGetErrorResponses) {
+  for (const policy::PolicyKind policy :
+       {policy::PolicyKind::Libra, policy::PolicyKind::FcfsBf,
+        policy::PolicyKind::FirstReward}) {
+    for (const economy::EconomicModel model :
+         {economy::EconomicModel::CommodityMarket,
+          economy::EconomicModel::BidBased}) {
+      EngineConfig config;
+      config.policy = policy;
+      config.model = model;
+      expect_out_of_range_lines_refused(config);
+    }
+  }
 }
 
 // ----------------------------------------------------------------- journal
@@ -782,6 +885,21 @@ TEST(AdmissionEngineTest, RecoveryRefusesDivergentJournalDigest) {
   config.journal_dir = dir;
   EXPECT_THROW((void)AdmissionEngine(config), JournalError)
       << "an engine must never serve on top of a divergent recovery";
+}
+
+TEST(AdmissionEngineTest, OutOfRangeLinesUnderFsyncAlwaysKeepTheJournal) {
+  // Under `always` a journalled request is on disk before it is decided,
+  // so an undecodable one would refuse every restart. Refused lines never
+  // reach the journal.
+  EngineConfig config;
+  config.journal_dir = fresh_dir("recovery_out_of_range");
+  config.fsync = FsyncPolicy::Always;
+  expect_out_of_range_lines_refused(config);
+
+  AdmissionEngine recovered(config);
+  EXPECT_EQ(recovered.recovery().replayed, 1u)
+      << "only the valid request was journalled";
+  EXPECT_TRUE(recovered.recovery().digest_match);
 }
 
 TEST(AdmissionEngineTest, RecoveryThenNewTrafficExtendsTheJournal) {
@@ -1485,22 +1603,26 @@ TEST(ProtocolTest, AdviseRequestRoundTrips) {
   request.kind = RequestKind::Advise;
   request.id = 31;
   request.tenant = 9;
-  request.weights = {0.1, 0.2, 0.3, 0.4};
-  request.risk_aversion = 1.25;
+  request.scoring.objective_weights = {0.1, 0.2, 0.3, 0.4};
+  request.scoring.risk_aversion = 1.25;
   const Request parsed = parse_request(encode_request(request));
   EXPECT_EQ(parsed.kind, RequestKind::Advise);
   EXPECT_EQ(parsed.id, 31u);
   EXPECT_EQ(parsed.tenant, 9u);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_DOUBLE_EQ(parsed.weights[i], request.weights[i]) << i;
+    EXPECT_DOUBLE_EQ(parsed.scoring.objective_weights[i],
+                     request.scoring.objective_weights[i])
+        << i;
   }
-  EXPECT_DOUBLE_EQ(parsed.risk_aversion, 1.25);
+  EXPECT_DOUBLE_EQ(parsed.scoring.risk_aversion, 1.25);
 
   // Omitted weights/risk_aversion fall back to the documented defaults.
   const Request defaults = parse_request("{\"type\":\"advise\",\"id\":2}");
   EXPECT_EQ(defaults.kind, RequestKind::Advise);
-  for (double w : defaults.weights) EXPECT_DOUBLE_EQ(w, 0.25);
-  EXPECT_DOUBLE_EQ(defaults.risk_aversion, 0.5);
+  for (double w : defaults.scoring.objective_weights) {
+    EXPECT_DOUBLE_EQ(w, 0.25);
+  }
+  EXPECT_DOUBLE_EQ(defaults.scoring.risk_aversion, 0.5);
 }
 
 TEST(ProtocolTest, AdviseRejectsInvalidPreferences) {
@@ -1528,7 +1650,7 @@ TEST(ProtocolTest, AdviceResponseRoundTrips) {
   response.id = 12;
   response.status = Status::Advice;
   response.tenant = 4;
-  auto advice = std::make_shared<AdviceBody>();
+  auto advice = std::make_shared<advise::Snapshot>();
   advice->active = "Libra";
   advice->recommended = "FCFS-BF";
   advice->decided = 96;
@@ -1537,8 +1659,10 @@ TEST(ProtocolTest, AdviceResponseRoundTrips) {
   advice->samples = 64;
   advice->estimate_mean = {10.5, 80.0, 90.0, 55.0};
   advice->estimate_stddev = {1.5, 2.0, 0.5, 3.0};
-  advice->ranked = {{"FCFS-BF", 0.61, 0.7, 0.18}, {"Libra", 0.58, 0.6, 0.04}};
-  advice->digest = "0123456789abcdef";
+  advice->ranked = {
+      {policy::PolicyKind::FcfsBf, "FCFS-BF", 0.61, 0.7, 0.18},
+      {policy::PolicyKind::Libra, "Libra", 0.58, 0.6, 0.04}};
+  advice->digest = 0x0123456789abcdefull;
   response.advice = advice;
 
   const Response parsed = parse_response(encode_response(response));
@@ -1560,9 +1684,21 @@ TEST(ProtocolTest, AdviceResponseRoundTrips) {
   }
   ASSERT_EQ(parsed.advice->ranked.size(), 2u);
   EXPECT_EQ(parsed.advice->ranked[0].policy, "FCFS-BF");
+  EXPECT_EQ(parsed.advice->ranked[0].kind, policy::PolicyKind::FcfsBf)
+      << "the kind is restored from the policy name";
+  EXPECT_EQ(parsed.advice->ranked[1].kind, policy::PolicyKind::Libra);
   EXPECT_DOUBLE_EQ(parsed.advice->ranked[0].score, 0.61);
   EXPECT_DOUBLE_EQ(parsed.advice->ranked[1].volatility, 0.04);
-  EXPECT_EQ(parsed.advice->digest, "0123456789abcdef");
+  EXPECT_EQ(parsed.advice->digest, 0x0123456789abcdefull);
+
+  // A ranking naming an unknown policy, or a digest that is not hex, does
+  // not decode.
+  std::string line = encode_response(response);
+  std::string unknown = line;
+  unknown.replace(unknown.find("\"FCFS-BF\",\"score\""), 9, "\"Nope-BF\"");
+  EXPECT_THROW((void)parse_response(unknown), ProtocolError);
+  line.replace(line.find("0123456789abcdef"), 16, "0123456789abcdeg");
+  EXPECT_THROW((void)parse_response(line), ProtocolError);
 }
 
 TEST(JournalTest, SwitchRecordsRoundTrip) {
@@ -1764,6 +1900,285 @@ TEST(AdmissionEngineTest, RecoveryRefusesFabricatedSwitchRecords) {
   config.journal_dir = dir;
   EXPECT_THROW((void)AdmissionEngine(config), JournalError)
       << "journalled switches must be a prefix of the replayed ones";
+}
+
+
+// ------------------------------------------------------ byte-exact corpus
+
+// Pinned wire lines: the encoders must keep writing these bytes, and each
+// must decode and re-encode to itself.
+constexpr const char* kSubmitLine =
+    R"({"type":"submit","id":7,"t":12.5,"procs":4,"runtime":100,"estimate":120,"deadline":4000,"budget":50000,"penalty":0.25,"urgency":"high"})";
+constexpr const char* kRoutedSubmitLine =
+    R"({"type":"submit","id":8,"t":12.5,"procs":4,"runtime":100,"estimate":120,"deadline":4000,"budget":50000,"penalty":0,"urgency":"low","deadline_ms":250,"tenant":42,"scenario":"a \"quoted\" \\ path\t\u0001"})";
+constexpr const char* kDefaultAdviseLine =
+    R"({"type":"advise","id":9,"weights":[0.25,0.25,0.25,0.25],"risk_aversion":0.5})";
+constexpr const char* kCustomAdviseLine =
+    R"({"type":"advise","id":10,"weights":[0.1,0.2,0.3,0.4],"risk_aversion":1.25,"tenant":3,"scenario":"s"})";
+constexpr const char* kAcceptedLine =
+    R"({"id":7,"status":"accepted","price":4800.5,"risk":0.125,"t":12.5,"tenant":42,"shard":2})";
+constexpr const char* kRejectedLine =
+    R"({"id":8,"status":"rejected","price":0,"risk":0.87,"t":99,"tenant":5,"shard":0})";
+constexpr const char* kPlainRejectedLine =
+    R"({"id":11,"status":"rejected","price":0,"risk":1,"t":3})";
+constexpr const char* kBusyLine = R"({"id":9,"status":"busy","retry_after_ms":50})";
+constexpr const char* kShedLine =
+    R"({"id":10,"status":"shed","message":"decision deadline expired in queue"})";
+constexpr const char* kErrorLine =
+    R"({"id":0,"status":"error","message":"bad \"x\" \\ y\nz\u0001"})";
+constexpr const char* kAdviceLine =
+    R"({"id":12,"status":"advice","active":"Libra","recommended":"Libra+$","decided":96,"evaluations":6,"switches":1,"samples":64,"estimate_mean":[10.5,80,90,55],"estimate_stddev":[1.5,2,0.5,3],"ranked":[{"policy":"Libra+$","score":0.61,"performance":0.7,"volatility":0.18},{"policy":"Libra","score":0.58,"performance":0.6,"volatility":0.04}],"digest":"0123456789abcdef","tenant":4,"shard":1})";
+
+/// A sealed advise-auto segment exactly as an engine wrote it
+/// (advise_every 4, window 4, Libra, commodity): eight requests, one
+/// policy switch after the fourth, a tick per request and the seal.
+constexpr const char* kAdviseAutoSegment =
+    R"({"type":"req","req":{"type":"submit","id":1,"t":0,"procs":1,"runtime":16769.3262073496,"estimate":8149.294510220392,"deadline":201382.0053220123,"budget":37374.41025406107,"penalty":11.413614905088515,"urgency":"low"},"chk":"4bf67d7ae2422c24"}
+{"type":"tick","processed":1,"digest":"0b38ed286f9f8105","chk":"fabd42766a176d73"}
+{"type":"req","req":{"type":"submit","id":2,"t":533.3758808917275,"procs":3,"runtime":15218.035273741605,"estimate":64800,"deadline":155903.30181596387,"budget":31412.0652919456,"penalty":7.95884713539112,"urgency":"low"},"chk":"ddc6e7c4324d951d"}
+{"type":"tick","processed":2,"digest":"a40b020aa59beb0c","chk":"7f706ddcbf262aea"}
+{"type":"req","req":{"type":"submit","id":3,"t":1567.7792034642148,"procs":1,"runtime":461.5754298347408,"estimate":900,"deadline":4295.064020424083,"budget":16413.599023234998,"penalty":3.8261659435080486,"urgency":"high"},"chk":"579472bb62430ea3"}
+{"type":"tick","processed":3,"digest":"0cbf7ac8ace1ab95","chk":"cb91cd0d59ac6895"}
+{"type":"req","req":{"type":"submit","id":4,"t":1942.4380845438757,"procs":22,"runtime":43949.71500094723,"estimate":19737.030151425213,"deadline":404119.0271907731,"budget":68065.90525179438,"penalty":18.697722301464083,"urgency":"low"},"chk":"08ee633c839af4a4"}
+{"type":"sw","key":"0000000000000000","at":4,"from":"Libra","to":"Libra+$","chk":"ee53f9aa1cf3b614"}
+{"type":"tick","processed":4,"digest":"9ccfdbcbd256346e","chk":"3f82eb3160ee5210"}
+{"type":"req","req":{"type":"submit","id":5,"t":3141.9002928026885,"procs":4,"runtime":5036.436605625579,"estimate":24600,"deadline":127049.27878095325,"budget":38015.34640261893,"penalty":14.412734928802157,"urgency":"low"},"chk":"425460c23be8c58c"}
+{"type":"tick","processed":5,"digest":"9c0b1c0372beccc7","chk":"b5e88d0a2247935d"}
+{"type":"req","req":{"type":"submit","id":6,"t":4329.479051893168,"procs":1,"runtime":5044.627228044722,"estimate":64800,"deadline":116833.0578119172,"budget":37029.30925399378,"penalty":13.940252866155529,"urgency":"low"},"chk":"2faffe9ada98b363"}
+{"type":"tick","processed":6,"digest":"e0b452987bb61bbf","chk":"2f2dfd4d03c8761c"}
+{"type":"req","req":{"type":"submit","id":7,"t":6170.540309564569,"procs":52,"runtime":12334.747313202784,"estimate":33300,"deadline":466106.0000794269,"budget":103534.48801799947,"penalty":19.50144587440794,"urgency":"low"},"chk":"dc5bb02711a9048b"}
+{"type":"tick","processed":7,"digest":"0b23b4bc5162df40","chk":"c98564ce5d9ed38a"}
+{"type":"req","req":{"type":"submit","id":8,"t":8965.133102707241,"procs":32,"runtime":4338.172044804384,"estimate":14700,"deadline":166519.1778403551,"budget":34519.29186538163,"penalty":10.647255480313136,"urgency":"low"},"chk":"da525a21cfc29fb7"}
+{"type":"tick","processed":8,"digest":"e9d4634cd460ab3f","chk":"8826e318be2dcb87"}
+{"type":"seal","records":17,"digest":"9cc823448e84acea","chk":"bf408577fc27927d"}
+)";
+
+TEST(ProtocolTest, EncodersWriteTheCorpusBytes) {
+  Request submit;
+  submit.id = 7;
+  submit.submit_time = 12.5;
+  submit.procs = 4;
+  submit.runtime = 100.0;
+  submit.estimate = 120.0;
+  submit.deadline = 4000.0;
+  submit.budget = 50000.0;
+  submit.penalty_rate = 0.25;
+  submit.urgency = workload::Urgency::High;
+  EXPECT_EQ(encode_request(submit), kSubmitLine);
+  Request routed = submit;
+  routed.id = 8;
+  routed.penalty_rate = 0.0;
+  routed.urgency = workload::Urgency::Low;
+  routed.deadline_ms = 250.0;
+  routed.tenant = 42;
+  routed.scenario = "a \"quoted\" \\ path\t\x01";
+  EXPECT_EQ(encode_request(routed), kRoutedSubmitLine);
+  Request advise;
+  advise.kind = RequestKind::Advise;
+  advise.id = 9;
+  EXPECT_EQ(encode_request(advise), kDefaultAdviseLine);
+  Request custom = advise;
+  custom.id = 10;
+  custom.tenant = 3;
+  custom.scenario = "s";
+  custom.scoring.objective_weights = {0.1, 0.2, 0.3, 0.4};
+  custom.scoring.risk_aversion = 1.25;
+  EXPECT_EQ(encode_request(custom), kCustomAdviseLine);
+
+  Response accepted;
+  accepted.id = 7;
+  accepted.status = Status::Accepted;
+  accepted.price = 4800.5;
+  accepted.risk = 0.125;
+  accepted.virtual_time = 12.5;
+  accepted.tenant = 42;
+  accepted.shard = 2;
+  EXPECT_EQ(encode_response(accepted), kAcceptedLine);
+  Response rejected;
+  rejected.id = 8;
+  rejected.status = Status::Rejected;
+  rejected.risk = 0.87;
+  rejected.virtual_time = 99.0;
+  rejected.tenant = 5;
+  rejected.shard = 0;
+  EXPECT_EQ(encode_response(rejected), kRejectedLine);
+  Response plain;
+  plain.id = 11;
+  plain.status = Status::Rejected;
+  plain.risk = 1.0;
+  plain.virtual_time = 3.0;
+  EXPECT_EQ(encode_response(plain), kPlainRejectedLine);
+  Response busy;
+  busy.id = 9;
+  busy.status = Status::Busy;
+  busy.retry_after_ms = 50.0;
+  EXPECT_EQ(encode_response(busy), kBusyLine);
+  Response shed;
+  shed.id = 10;
+  shed.status = Status::Shed;
+  shed.message = "decision deadline expired in queue";
+  EXPECT_EQ(encode_response(shed), kShedLine);
+  Response error;
+  error.status = Status::Error;
+  error.message = "bad \"x\" \\ y\nz\x01";
+  EXPECT_EQ(encode_response(error), kErrorLine);
+
+  auto snapshot = std::make_shared<advise::Snapshot>();
+  snapshot->active = "Libra";
+  snapshot->recommended = "Libra+$";
+  snapshot->decided = 96;
+  snapshot->evaluations = 6;
+  snapshot->switches = 1;
+  snapshot->samples = 64;
+  snapshot->estimate_mean = {10.5, 80.0, 90.0, 55.0};
+  snapshot->estimate_stddev = {1.5, 2.0, 0.5, 3.0};
+  snapshot->ranked = {
+      {policy::PolicyKind::LibraDollar, "Libra+$", 0.61, 0.7, 0.18},
+      {policy::PolicyKind::Libra, "Libra", 0.58, 0.6, 0.04}};
+  snapshot->digest = 0x0123456789abcdefull;
+  Response advice;
+  advice.id = 12;
+  advice.status = Status::Advice;
+  advice.tenant = 4;
+  advice.shard = 1;
+  advice.advice = snapshot;
+  EXPECT_EQ(encode_response(advice), kAdviceLine);
+}
+
+TEST(ProtocolTest, CorpusLinesDecodeAndReencodeToThemselves) {
+  for (const char* line : {kSubmitLine, kRoutedSubmitLine, kDefaultAdviseLine,
+                           kCustomAdviseLine}) {
+    EXPECT_EQ(encode_request(parse_request(line)), line);
+  }
+  for (const char* line :
+       {kAcceptedLine, kRejectedLine, kPlainRejectedLine, kBusyLine,
+        kShedLine, kErrorLine, kAdviceLine}) {
+    EXPECT_EQ(encode_response(parse_response(line)), line);
+  }
+}
+
+TEST(JournalTest, AdviseAutoSegmentReplaysAndIsRewrittenByteForByte) {
+  const std::filesystem::path dir = fresh_dir("journal_corpus");
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir / "journal-00000001.ndjson") << kAdviseAutoSegment;
+  const RecoveredJournal recovered = load_journal(dir.string());
+  ASSERT_EQ(recovered.requests.size(), 8u);
+  ASSERT_EQ(recovered.switches.size(), 1u);
+  EXPECT_EQ(recovered.sealed_segments, 1u);
+  EXPECT_EQ(recovered.last_tick_processed, 8u);
+
+  // It replays to the digest its writer recorded, re-deriving the switch.
+  EngineConfig config;
+  config.advisor.auto_switch = true;
+  config.advisor.advise_every = 4;
+  config.advisor.window = 4;
+  config.journal_dir = dir.string();
+  config.fsync = FsyncPolicy::None;
+  {
+    AdmissionEngine engine(config);
+    EXPECT_EQ(engine.recovery().replayed, 8u);
+    EXPECT_TRUE(engine.recovery().digest_match);
+    EXPECT_EQ(engine.recovery().replayed_digest, "e9d4634cd460ab3f");
+  }
+
+  // The writer, fed the same record stream, writes the same bytes.
+  JournalConfig journal;
+  journal.directory = fresh_dir("journal_corpus_rewrite");
+  journal.fsync = FsyncPolicy::None;
+  {
+    JournalWriter writer(journal);
+    std::istringstream lines(kAdviseAutoSegment);
+    std::string line;
+    std::size_t next_request = 0;
+    while (std::getline(lines, line)) {
+      const obs::json::Value record = obs::json::parse(line);
+      const std::string& type = record.at("type").as_string();
+      if (type == "req") {
+        writer.append_request(recovered.requests[next_request++]);
+      } else if (type == "sw") {
+        writer.append_switch(recovered.switches.front());
+      } else if (type == "tick") {
+        writer.append_tick(
+            static_cast<std::uint64_t>(record.at("processed").as_number()),
+            record.at("digest").as_string());
+      }
+    }
+  }  // closing seals the segment
+  std::ifstream in(std::filesystem::path(journal.directory) /
+                   "journal-00000001.ndjson");
+  std::ostringstream rewritten;
+  rewritten << in.rdbuf();
+  EXPECT_EQ(rewritten.str(), kAdviseAutoSegment);
+}
+
+TEST(AdmissionEngineTest, AdviceOnTheWireIsTheAdvisorsSnapshot) {
+  EngineConfig config;
+  config.advisor.auto_switch = true;
+  config.advisor.advise_every = 16;
+  config.advisor.window = 16;
+  AdmissionEngine engine(config);
+  engine.start();
+  Server server(ServerConfig{}, engine);
+  LoadgenConfig load;
+  load.requests = 48;
+  load.seed = 29;
+  std::string input;
+  for (const Request& request : make_request_stream(load)) {
+    input += encode_request(request) + "\n";
+  }
+  Request query;
+  query.kind = RequestKind::Advise;
+  query.id = 100000;
+  query.scoring.objective_weights = {0.1, 0.2, 0.3, 0.4};
+  query.scoring.risk_aversion = 1.25;
+  input += encode_request(query) + "\n";
+  std::istringstream in(input);
+  std::ostringstream out;
+  (void)server.run_stdio(in, out);  // drains: the advisor is at rest
+
+  std::istringstream replies(out.str());
+  std::string line;
+  std::string advice_line;
+  while (std::getline(replies, line)) {
+    if (parse_response(line).status == Status::Advice) advice_line = line;
+  }
+  ASSERT_FALSE(advice_line.empty());
+
+  // Advise queries are read-only, so the drained advisor still holds the
+  // history the query was answered from.
+  const advise::Snapshot expected = engine.advisor().query(
+      routing_key(query), query.scoring.objective_weights,
+      query.scoring.risk_aversion);
+  EXPECT_GT(expected.evaluations, 0u);
+  ASSERT_FALSE(expected.ranked.empty());
+  Response response;
+  response.id = query.id;
+  response.status = Status::Advice;
+  response.advice = std::make_shared<const advise::Snapshot>(expected);
+  EXPECT_EQ(advice_line, encode_response(response));
+
+  const Response parsed = parse_response(advice_line);
+  ASSERT_NE(parsed.advice, nullptr);
+  const advise::Snapshot& wire = *parsed.advice;
+  EXPECT_EQ(wire.active, expected.active);
+  EXPECT_EQ(wire.recommended, expected.recommended);
+  EXPECT_EQ(wire.decided, expected.decided);
+  EXPECT_EQ(wire.evaluations, expected.evaluations);
+  EXPECT_EQ(wire.switches, expected.switches);
+  EXPECT_EQ(wire.samples, expected.samples);
+  EXPECT_EQ(wire.estimate_mean, expected.estimate_mean);
+  EXPECT_EQ(wire.estimate_stddev, expected.estimate_stddev);
+  ASSERT_EQ(wire.ranked.size(), expected.ranked.size());
+  for (std::size_t r = 0; r < wire.ranked.size(); ++r) {
+    EXPECT_EQ(wire.ranked[r].kind, expected.ranked[r].kind) << r;
+    EXPECT_EQ(wire.ranked[r].policy, expected.ranked[r].policy) << r;
+    EXPECT_EQ(wire.ranked[r].score, expected.ranked[r].score) << r;
+    EXPECT_EQ(wire.ranked[r].performance, expected.ranked[r].performance)
+        << r;
+    EXPECT_EQ(wire.ranked[r].volatility, expected.ranked[r].volatility)
+        << r;
+  }
+  EXPECT_EQ(wire.digest, expected.digest);
 }
 
 }  // namespace
