@@ -51,7 +51,9 @@ void SpaceSharedCluster::start(const workload::Job& job,
   index_entry.procs = job.procs;
   index_entry.start_time = entry.start_time;
   index_entry.actual_finish = entry.start_time + job.actual_runtime;
-  finish_index_.insert(index_entry);
+  finish_index_.insert(std::upper_bound(finish_index_.begin(),
+                                        finish_index_.end(), index_entry),
+                       index_entry);
   auto [it, inserted] = running_.emplace(id, std::move(entry));
   UTILRISK_ELOG(sim::LogLevel::Debug, "start job " << id << " procs=" << job.procs
                             << " run=" << job.actual_runtime);
@@ -64,7 +66,9 @@ void SpaceSharedCluster::erase_finish_entry(const Running& entry,
   FinishEntry key;
   key.estimated_finish = entry.estimated_finish;
   key.id = id;
-  finish_index_.erase(key);
+  const auto it =
+      std::lower_bound(finish_index_.begin(), finish_index_.end(), key);
+  if (it != finish_index_.end() && !(key < *it)) finish_index_.erase(it);
 }
 
 void SpaceSharedCluster::release_nodes(const Running& entry) {

@@ -7,7 +7,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "cluster/failure.hpp"
@@ -158,10 +157,13 @@ class SpaceSharedCluster : public sim::Entity {
   /// occupant_[node] = running job id, or kNoOccupant.
   std::vector<workload::JobId> occupant_;
   std::map<workload::JobId, Running> running_;
-  /// Incremental (estimated_finish, id) order over running_; maintained on
-  /// start/complete/cancel/node_down so earliest-finish queries are a
-  /// prefix walk.
-  std::set<FinishEntry> finish_index_;
+  /// Incremental (estimated_finish, id) order over running_, one entry per
+  /// running job; maintained on start/complete/cancel/node_down so
+  /// earliest-finish queries are a prefix walk. A sorted contiguous array:
+  /// the EASY queries walk it on every backfill decision, and an insert or
+  /// erase moves at most one entry per running job, where a tree allocated
+  /// a node per start and chased a pointer per step (DESIGN.md §4).
+  std::vector<FinishEntry> finish_index_;
   double delivered_proc_seconds_ = 0.0;
 
   static constexpr workload::JobId kNoOccupant =

@@ -57,6 +57,7 @@ ReplicationSummary replicate(const ReplicationConfig& config) {
     const std::uint64_t seed = config.seeds[i];
     ExperimentConfig run;
     run.model = config.model;
+    run.machine = config.machine;
     run.trace = config.trace;
     run.trace.seed = seed;
     run.qos_seed = seed * 31 + 7;

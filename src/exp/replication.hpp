@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cluster/node.hpp"
 #include "core/objectives.hpp"
 #include "economy/money.hpp"
 #include "exp/scenario.hpp"
@@ -48,6 +49,8 @@ struct ReplicationConfig {
   economy::EconomicModel model = economy::EconomicModel::BidBased;
   /// Base trace configuration; the seed field is overridden per replicate.
   workload::SyntheticSdscConfig trace;
+  /// The machine every replicate runs on.
+  cluster::MachineConfig machine;
   /// Knobs (defaults are the Table VI defaults; inaccuracy as configured).
   RunSettings settings;
   /// Independent seeds, one replicate each (>= 2 for an interval).

@@ -82,19 +82,20 @@ bool QueueBackfillPolicy::higher_priority(const workload::Job& a,
   return a.id < b.id;  // deterministic tiebreak
 }
 
-bool QueueBackfillPolicy::still_viable(const workload::Job& job) const {
-  if (admission_ == AdmissionControl::None) return true;
-  const sim::SimTime now = simulator().now();
+bool QueueBackfillPolicy::still_viable(const workload::Job& job,
+                                       sim::SimTime now) {
   // (ii) deadline already lapsed in the queue, or (i) starting now is
   // predicted (by the estimate) to exceed the deadline.
   return now + job.estimated_runtime <=
          job.absolute_deadline() + sim::kTimeEpsilon;
 }
 
-std::uint32_t QueueBackfillPolicy::estimated_free_at(sim::SimTime when) const {
-  // Prefix walk of the cluster's finish index; integer sum, so the result
-  // is exactly the old full-rescan answer.
-  return cluster_->estimated_procs_free_by(when);
+std::uint32_t QueueBackfillPolicy::extra_at(sim::SimTime shadow,
+                                            std::uint32_t reserved) const {
+  // One prefix walk of the cluster's finish index; integer sum, so the
+  // result is exactly the old full-rescan answer.
+  const std::uint32_t free = cluster_->estimated_procs_free_by(shadow);
+  return free >= reserved ? free - reserved : 0;
 }
 
 void QueueBackfillPolicy::on_submit(const workload::Job& job) {
@@ -148,34 +149,40 @@ void QueueBackfillPolicy::dispatch() {
     // per-dispatch sort is needed.
     //
     // Reject queued jobs that can no longer fulfil their SLA (generous
-    // admission control, applied at the latest possible moment).
-    // In-place erase: rejections happen in the same (priority) order the
-    // old filter-copy produced, without copying the whole queue per
+    // admission control, applied at the latest possible moment). Without
+    // admission control every job stays viable, so there is nothing to
+    // scan. In-place erase: rejections happen in the same (priority) order
+    // the old filter-copy produced, without copying the whole queue per
     // dispatch.
-    for (std::size_t i = 0; i < queue_.size();) {
-      if (still_viable(queue_[i])) {
-        ++i;
-      } else {
-        const workload::Job doomed = queue_[i];
-        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-        host().notify_rejected(doomed);
+    if (admission_ == AdmissionControl::Generous) {
+      const sim::SimTime now = simulator().now();
+      for (std::size_t i = 0; i < queue_.size();) {
+        if (still_viable(queue_[i], now)) {
+          ++i;
+        } else {
+          const workload::Job doomed = queue_[i];
+          queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
+          host().notify_rejected(doomed);
+        }
       }
     }
 
-    // Start the head while it fits.
-    while (!queue_.empty() && cluster_->can_start(queue_.front().procs)) {
-      const workload::Job head = queue_.front();
-      queue_.pop_front();
-      start_job(head);
+    // Start the head while it fits; the started prefix leaves the queue
+    // in one erase.
+    std::size_t started = 0;
+    while (started < queue_.size() &&
+           cluster_->can_start(queue_[started].procs)) {
+      start_job(queue_[started]);
+      ++started;
     }
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(started));
     if (queue_.empty()) continue;
 
     // EASY backfilling against the head's shadow reservation.
     const workload::Job head = queue_.front();
     sim::SimTime shadow = cluster_->estimated_availability(head.procs);
-    std::uint32_t extra = estimated_free_at(shadow) >= head.procs
-                              ? estimated_free_at(shadow) - head.procs
-                              : 0;
+    std::uint32_t extra = extra_at(shadow, head.procs);
     const sim::SimTime now = simulator().now();
     for (std::size_t i = 1; i < queue_.size();) {
       const workload::Job& candidate = queue_[i];
@@ -188,9 +195,7 @@ void QueueBackfillPolicy::dispatch() {
         queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
         // Restate the reservation against the new cluster state.
         shadow = cluster_->estimated_availability(head.procs);
-        extra = estimated_free_at(shadow) >= head.procs
-                    ? estimated_free_at(shadow) - head.procs
-                    : 0;
+        extra = extra_at(shadow, head.procs);
       } else {
         ++i;
       }

@@ -14,8 +14,8 @@
 // possible time, trading wait time for acceptance flexibility.
 #pragma once
 
-#include <deque>
 #include <memory>
+#include <vector>
 
 #include "cluster/space_shared.hpp"
 #include "policy/policy.hpp"
@@ -68,12 +68,16 @@ class QueueBackfillPolicy : public Policy {
   [[nodiscard]] bool higher_priority(const workload::Job& a,
                                      const workload::Job& b) const;
 
-  /// Generous admission: can the job still fulfil its SLA if started now?
-  [[nodiscard]] bool still_viable(const workload::Job& job) const;
+  /// Generous admission: can the job still fulfil its SLA if started at
+  /// `now`?
+  [[nodiscard]] static bool still_viable(const workload::Job& job,
+                                         sim::SimTime now);
 
-  /// Processors estimated free at time `when`, from current free count plus
-  /// running jobs whose estimated completion is <= `when`.
-  [[nodiscard]] std::uint32_t estimated_free_at(sim::SimTime when) const;
+  /// Processors estimated free at `shadow` beyond the `reserved` ones the
+  /// head job holds there: the EASY "extra" a backfill may use for as
+  /// long as it likes.
+  [[nodiscard]] std::uint32_t extra_at(sim::SimTime shadow,
+                                       std::uint32_t reserved) const;
 
   void start_job(const workload::Job& job);
   void dispatch();
@@ -84,8 +88,10 @@ class QueueBackfillPolicy : public Policy {
   /// Wait queue, kept sorted by higher_priority at all times (the key is
   /// immutable per job and the order is total — id tiebreak — so sorted
   /// insertion produces the exact permutation the old per-dispatch
-  /// std::sort did). Deque: the hot path pops the head.
-  std::deque<workload::Job> queue_;
+  /// std::sort did). A contiguous array: every dispatch scans it front to
+  /// back, twice, and a deque's chunked indexing cost more there than the
+  /// vector's tail moves on erase (DESIGN.md §4).
+  std::vector<workload::Job> queue_;
   bool dispatching_ = false;
   bool dispatch_again_ = false;
 };

@@ -22,6 +22,8 @@ namespace {
 
 constexpr const char* kSegmentPrefix = "journal-";
 constexpr const char* kSegmentSuffix = ".ndjson";
+/// Opens a request record; the request's wire encoding follows.
+constexpr const char* kReqPrefix = "{\"type\":\"req\",\"req\":";
 /// Splices the per-line integrity digest onto a record payload.
 constexpr const char* kChkKey = ",\"chk\":\"";
 /// Cap on buffered record bytes between explicit durability points.
@@ -103,11 +105,12 @@ struct JournalLine {
 };
 
 /// Decodes one chk-verified record payload with the protocol's field
-/// readers. Throws ProtocolError on a record that does not decode.
+/// readers, parsing it once. Throws ProtocolError on a record that does
+/// not decode.
 [[nodiscard]] JournalLine decode_record(std::string_view payload) {
-  // The request body is embedded verbatim as the wire encoding; slice it
-  // back out and reuse parse_request.
-  constexpr std::string_view kReqKey = "\"req\":";
+  if (!is_valid_utf8(payload)) {
+    throw ProtocolError("record is not valid UTF-8");
+  }
   obs::json::Value doc;
   try {
     doc = obs::json::parse(std::string(payload) + "}");
@@ -118,11 +121,17 @@ struct JournalLine {
   const std::string& kind = string_field(doc, "type");
   if (kind == "req") {
     record.kind = JournalLine::Kind::Request;
-    const std::size_t at = payload.find(kReqKey);
-    if (at == std::string_view::npos) {
+    // The request is embedded as its wire encoding, after the prefix the
+    // writer puts first; it is held to the wire's size cap.
+    if (payload.size() > std::strlen(kReqPrefix) + kMaxRequestBytes) {
+      throw ProtocolError("request exceeds " +
+                          std::to_string(kMaxRequestBytes) + " bytes");
+    }
+    const obs::json::Value* request = doc.find("req");
+    if (request == nullptr) {
       throw ProtocolError("req record missing embedded request");
     }
-    record.request = parse_request(payload.substr(at + kReqKey.size()));
+    record.request = read_request(*request);
   } else if (kind == "tick") {
     record.kind = JournalLine::Kind::Tick;
     record.processed = integer_field(doc, "processed", 0, kMaxJsonInteger);
@@ -402,7 +411,7 @@ void JournalWriter::fsync_now() {
 
 void JournalWriter::append_request(const Request& request) {
   scratch_.clear();
-  scratch_ += "{\"type\":\"req\",\"req\":";
+  scratch_ += kReqPrefix;
   encode_request_to(scratch_, request);
   append_line(scratch_);
   ++stats_.requests;

@@ -131,11 +131,9 @@ void append_array4(std::string& out, const std::array<double, 4>& values) {
   return out;
 }
 
-/// Strict UTF-8 well-formedness check (RFC 3629: no overlongs, no
-/// surrogates, nothing above U+10FFFF). The NDJSON protocol is a JSON
-/// protocol, and JSON text is UTF-8 — arbitrary byte salad is rejected
-/// before the parser ever sees it.
-[[nodiscard]] bool is_valid_utf8(std::string_view text) {
+}  // namespace
+
+bool is_valid_utf8(std::string_view text) {
   std::size_t i = 0;
   while (i < text.size()) {
     const auto byte = static_cast<unsigned char>(text[i]);
@@ -171,8 +169,6 @@ void append_array4(std::string& out, const std::array<double, 4>& values) {
   }
   return true;
 }
-
-}  // namespace
 
 const char* to_string(Status status) {
   switch (status) {
@@ -241,6 +237,10 @@ Request parse_request(std::string_view line) {
   } catch (const obs::json::ParseError& e) {
     throw ProtocolError(std::string("malformed JSON: ") + e.what());
   }
+  return read_request(doc);
+}
+
+Request read_request(const Value& doc) {
   if (!doc.is_object()) throw ProtocolError("request must be a JSON object");
   const std::string& type = string_field(doc, "type");
   if (type == "advise") return parse_advise(doc);

@@ -185,6 +185,17 @@ struct Response {
 /// sanitised to printable ASCII and length-clamped.
 [[nodiscard]] Request parse_request(std::string_view line);
 
+/// The field checks of parse_request, on a document already parsed (the
+/// journal's recovery reads the `req` member of a record it has parsed
+/// whole). Throws ProtocolError as parse_request does, with the same
+/// messages; `doc` must come from text that passed is_valid_utf8.
+[[nodiscard]] Request read_request(const obs::json::Value& doc);
+
+/// Strict UTF-8 well-formedness (RFC 3629: no overlongs, no surrogates,
+/// nothing above U+10FFFF). JSON text is UTF-8, so every line serve reads
+/// is checked with this before it is parsed.
+[[nodiscard]] bool is_valid_utf8(std::string_view text);
+
 /// Serialises a request to one line (no trailing newline).
 [[nodiscard]] std::string encode_request(const Request& request);
 

@@ -3,14 +3,21 @@
 // opens before ComputingService::submit_all and closes when
 // Simulator::run() returns, so work moved between set-up and the run
 // still shows. The runs are the paper's 5000-job seed-42 trace, in both
-// experiment sets. Two gates:
+// experiment sets. Three gates:
 //  * per dispatched event, the Libra family stays at or under one: a node
 //    update in the time-shared executor (a task starting or finishing)
 //    allocates nothing;
-//  * per job, every policy — FCFS-BF on the space-shared executor too —
-//    stays at or under five: an arrival is one kernel batch element, and
-//    what remains per job is its SLA record, its index entry, the
-//    policy's job entry and its completion callback.
+//  * per job, every policy — the backfilling family on the space-shared
+//    executor too — stays at or under five: an arrival is one kernel
+//    batch element, and what remains per job is its SLA record, its index
+//    entry, the policy's job entry and its completion callback;
+//  * per job, the backfilling family (FCFS-BF, SJF-BF, EDF-BF) stays at
+//    least half an allocation under what it made while its wait queue was
+//    a deque and the executor's finish index a tree, which allocated a
+//    node per started job. A started job now allocates its completion
+//    callback (which carries the job), its entry in the executor's
+//    running map and its node list; the queue and the finish index are
+//    sorted arrays, which allocate only when they outgrow their capacity.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -96,12 +103,14 @@ Count count_run(const exp::ExperimentConfig& config,
 
 struct Measured {
   std::string name;
+  policy::PolicyKind kind = policy::PolicyKind::Libra;
   bool libra_family = false;
   Count count;
 };
 
 /// Counts the Libra family (Libra and Libra+$ commodity, LibraRiskD bid)
-/// and FCFS-BF (commodity) on the set's default run, printing each count.
+/// and the backfilling family (commodity) on the set's default run,
+/// printing each count.
 std::vector<Measured> measure(exp::ExperimentSet set) {
   exp::ExperimentConfig config;
   config.set = set;
@@ -123,9 +132,13 @@ std::vector<Measured> measure(exp::ExperimentSet set) {
         Case{policy::PolicyKind::LibraRiskD, economy::EconomicModel::BidBased,
              true},
         Case{policy::PolicyKind::FcfsBf,
+             economy::EconomicModel::CommodityMarket, false},
+        Case{policy::PolicyKind::SjfBf,
+             economy::EconomicModel::CommodityMarket, false},
+        Case{policy::PolicyKind::EdfBf,
              economy::EconomicModel::CommodityMarket, false}}) {
-    Measured m{std::string(policy::to_string(c.kind)), c.libra_family,
-               count_run(config, jobs, c.kind, c.model)};
+    Measured m{std::string(policy::to_string(c.kind)), c.kind,
+               c.libra_family, count_run(config, jobs, c.kind, c.model)};
     EXPECT_GT(m.count.events, 0u) << m.name;
     std::printf("set %s %-10s %.2f allocations/event, %.2f/job (%llu over "
                 "%llu events, %llu jobs)\n",
@@ -143,7 +156,7 @@ TEST(AllocCountTest, LibraFamilyAllocatesAtMostOncePerEvent) {
   for (const exp::ExperimentSet set :
        {exp::ExperimentSet::A, exp::ExperimentSet::B}) {
     for (const Measured& m : measure(set)) {
-      if (!m.libra_family) continue;  // FCFS-BF: a per-event control
+      if (!m.libra_family) continue;  // backfilling: a per-event control
       EXPECT_LE(m.count.per_event(), 1.0)
           << m.name << " in set " << exp::to_string(set);
     }
@@ -157,6 +170,33 @@ TEST(AllocCountTest, EveryPolicyAllocatesAtMostFiveTimesPerJob) {
       EXPECT_LE(m.count.per_job(), 5.0)
           << m.name << " in set " << exp::to_string(set);
     }
+  }
+}
+
+/// Allocations per job of the backfilling family with a deque wait queue
+/// and a std::set finish index, on the same runs.
+double tree_and_deque_per_job(exp::ExperimentSet set,
+                              policy::PolicyKind kind) {
+  const bool a = set == exp::ExperimentSet::A;
+  switch (kind) {
+    case policy::PolicyKind::FcfsBf: return a ? 4.17 : 3.77;
+    case policy::PolicyKind::SjfBf: return a ? 5.11 : 4.04;
+    case policy::PolicyKind::EdfBf: return a ? 5.16 : 4.05;
+    default: return 0.0;
+  }
+}
+
+TEST(AllocCountTest, BackfillingFamilyAllocatesUnderTheTreeAndDeque) {
+  for (const exp::ExperimentSet set :
+       {exp::ExperimentSet::A, exp::ExperimentSet::B}) {
+    int backfilling = 0;
+    for (const Measured& m : measure(set)) {
+      if (m.libra_family) continue;
+      ++backfilling;
+      EXPECT_LE(m.count.per_job(), tree_and_deque_per_job(set, m.kind) - 0.5)
+          << m.name << " in set " << exp::to_string(set);
+    }
+    EXPECT_EQ(backfilling, 3);
   }
 }
 

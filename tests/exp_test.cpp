@@ -420,6 +420,7 @@ TEST_F(FigureTest, IntegratedPlotRejectsEmptyCombo) {
 #include <cmath>
 
 #include "exp/replication.hpp"
+#include "service/computing_service.hpp"
 
 namespace utilrisk {
 namespace replication_tests {
@@ -475,6 +476,45 @@ TEST(ReplicationTest, EndToEndAcrossSeeds) {
       << "independent seeds give different workloads";
   EXPECT_DOUBLE_EQ(summary.of(core::Objective::Wait).mean, 0.0)
       << "Libra family has zero wait regardless of the seed";
+}
+
+TEST(ReplicationTest, ReplicatesRunOnTheConfiguredMachine) {
+  ReplicationConfig config;
+  config.policy = policy::PolicyKind::FcfsBf;
+  config.model = economy::EconomicModel::CommodityMarket;
+  config.trace.job_count = 300;
+  config.seeds = {42, 10015};
+  config.workers = 1;
+  const ReplicationSummary defaults = exp::replicate(config);
+  config.machine.node_count = 128;
+  const ReplicationSummary narrow = exp::replicate(config);
+  config.machine.node_count = 1024;
+  const ReplicationSummary wide = exp::replicate(config);
+
+  // 128 nodes is the default machine, and each replicate is the run
+  // simulate_run_report makes of its seed on it.
+  ASSERT_EQ(narrow.replicates.size(), 2u);
+  for (std::size_t i = 0; i < config.seeds.size(); ++i) {
+    exp::ExperimentConfig run;
+    run.model = config.model;
+    run.trace = config.trace;
+    run.trace.seed = config.seeds[i];
+    run.qos_seed = config.seeds[i] * 31 + 7;
+    const core::ObjectiveValues direct =
+        exp::simulate_run_report(run, run.make_builder(), config.policy,
+                                 config.settings)
+            .objectives;
+    for (core::Objective objective : core::kAllObjectives) {
+      EXPECT_EQ(narrow.replicates[i].get(objective), direct.get(objective));
+      EXPECT_EQ(defaults.replicates[i].get(objective),
+                direct.get(objective));
+    }
+  }
+  // Eight times the processors: more jobs start on arrival and wait less.
+  EXPECT_LT(wide.of(core::Objective::Wait).mean,
+            narrow.of(core::Objective::Wait).mean);
+  EXPECT_NE(wide.of(core::Objective::Sla).mean,
+            narrow.of(core::Objective::Sla).mean);
 }
 
 }  // namespace replication_tests

@@ -210,23 +210,67 @@ struct NaiveSpaceModel {
   }
 };
 
-TEST(SpaceSharedPropertyTest, IndexedMatchesNaiveReference) {
-  constexpr std::uint32_t kNodes = 64;
+/// One seeded operation stream against the space-shared executor.
+struct SpaceStreamInput {
+  std::uint32_t nodes = 64;
+  std::uint64_t seed = 0;
+  int steps = 3000;
+  /// Shares of steps that start a job (if it fits), cancel one and
+  /// toggle a node; the rest advance the clock.
+  double start_share = 0.45;
+  double cancel_share = 0.15;
+  double toggle_share = 0.10;
+  std::uint32_t max_procs = 12;
+  double runtime_lo = 5.0;
+  double runtime_hi = 400.0;
+  /// Estimates are drawn from [2, 500] and clock advances from [1, 60].
+  /// With a grid, estimates are the multiples 1..estimate_slots of
+  /// `estimate_grid` and advances the multiples 1..3 of `advance_grid`,
+  /// so jobs start on grid instants and their estimated finishes tie.
+  double estimate_grid = 0.0;
+  std::uint64_t estimate_slots = 10;
+  double advance_grid = 0.0;
+  /// Queries are checked after every `check_every`-th step (and the last).
+  int check_every = 1;
+  /// Job ids in a scrambled order instead of ascending with start order,
+  /// so a job can start after a job with a higher id and the same
+  /// estimated finish, as backfilling starts them.
+  bool scrambled_ids = false;
+};
+
+/// Drives a SpaceSharedCluster and the naive model through one stream of
+/// starts, cancels, node toggles and clock advances, and compares every
+/// query the EASY policies ask — availability, procs free by a time, the
+/// (estimated finish, id) running order — against full rescans.
+void expect_cluster_matches_naive(const SpaceStreamInput& input) {
+  const std::uint32_t kNodes = input.nodes;
   sim::Simulator simk;
   SpaceSharedCluster cluster(simk, {.node_count = kNodes});
   NaiveSpaceModel naive(kNodes);
-  sim::Rng rng(0xB0B);
+  sim::Rng rng(input.seed);
   workload::JobId next_id = 1;
   std::vector<workload::JobId> live;  // started and not yet known-finished
+  const bool grid = input.estimate_grid > 0.0;
+  const double cancel_below = input.start_share + input.cancel_share;
+  const double toggle_below = cancel_below + input.toggle_share;
+  std::size_t peak_running = 0;
+  std::size_t ties = 0;  // adjacent equal estimated finishes seen
 
-  for (int step = 0; step < 3000; ++step) {
+  for (int step = 0; step < input.steps; ++step) {
     const double roll = rng.uniform01();
-    if (roll < 0.45) {
+    if (roll < input.start_share) {
       // Start a job if it fits.
-      const auto procs = static_cast<std::uint32_t>(rng.uniform_int(1, 12));
-      const double runtime = rng.uniform(5.0, 400.0);
-      const double estimate = rng.uniform(2.0, 500.0);
-      workload::Job job = make_job(next_id++, procs, runtime, estimate);
+      const auto procs =
+          static_cast<std::uint32_t>(rng.uniform_int(1, input.max_procs));
+      const double runtime = rng.uniform(input.runtime_lo, input.runtime_hi);
+      const double estimate =
+          grid ? input.estimate_grid * static_cast<double>(rng.uniform_int(
+                                               1, input.estimate_slots))
+               : rng.uniform(2.0, 500.0);
+      // An odd multiplier is a bijection on 32 bits: ids stay unique.
+      const workload::JobId id =
+          input.scrambled_ids ? next_id++ * 0x9E3779B1u : next_id++;
+      workload::Job job = make_job(id, procs, runtime, estimate);
       if (cluster.can_start(procs)) {
         ASSERT_GE(naive.free.size(), procs);
         cluster.start(job, {});
@@ -235,7 +279,7 @@ TEST(SpaceSharedPropertyTest, IndexedMatchesNaiveReference) {
       } else {
         ASSERT_LT(naive.free.size(), procs);
       }
-    } else if (roll < 0.60 && !live.empty()) {
+    } else if (roll < cancel_below && !live.empty()) {
       // Cancel a random live job (it may already have finished).
       const std::size_t pick = rng.uniform_int(0, live.size() - 1);
       const workload::JobId victim = live[pick];
@@ -243,7 +287,7 @@ TEST(SpaceSharedPropertyTest, IndexedMatchesNaiveReference) {
       const bool cancelled = cluster.cancel(victim);
       ASSERT_EQ(cancelled, naive.running.contains(victim));
       if (cancelled) naive.cancel(victim);
-    } else if (roll < 0.70) {
+    } else if (roll < toggle_below) {
       // Toggle a random node.
       const NodeId id = static_cast<NodeId>(rng.uniform_int(0, kNodes - 1));
       if (cluster.is_up(id)) {
@@ -259,21 +303,26 @@ TEST(SpaceSharedPropertyTest, IndexedMatchesNaiveReference) {
       }
     } else {
       // Advance time; completions fire inside run().
-      const double until = simk.now() + rng.uniform(1.0, 60.0);
-      simk.run(until);
+      const double advance =
+          grid ? input.advance_grid *
+                     static_cast<double>(rng.uniform_int(1, 3))
+               : rng.uniform(1.0, 60.0);
+      simk.run(simk.now() + advance);
       naive.finish_due(simk.now());
     }
+    peak_running = std::max(peak_running, naive.running.size());
+    if (step % input.check_every != 0 && step + 1 != input.steps) continue;
 
-    // Invariants after every step.
+    // Invariants after the step.
     ASSERT_EQ(cluster.free_procs(), naive.free.size()) << "step " << step;
     ASSERT_EQ(cluster.running_count(), naive.running.size());
     ASSERT_EQ(cluster.up_procs(), naive.up_procs());
-    for (std::uint32_t procs : {1u, 4u, 16u, kNodes}) {
+    for (std::uint32_t procs : {1u, 4u, 16u, kNodes / 2, kNodes}) {
       ASSERT_DOUBLE_EQ(cluster.estimated_availability(procs),
                        naive.availability(procs, simk.now()))
           << "step " << step << " procs " << procs;
     }
-    for (double dt : {0.0, 10.0, 100.0, 1000.0}) {
+    for (double dt : {0.0, 10.0, 100.0, 1000.0, 10000.0}) {
       ASSERT_EQ(cluster.estimated_procs_free_by(simk.now() + dt),
                 naive.free_by(simk.now() + dt))
           << "step " << step << " dt " << dt;
@@ -291,7 +340,52 @@ TEST(SpaceSharedPropertyTest, IndexedMatchesNaiveReference) {
       ASSERT_EQ(jobs[i].id, expected[i].second) << "step " << step;
       ASSERT_DOUBLE_EQ(jobs[i].estimated_finish, expected[i].first);
     }
+    for (std::size_t i = 1; i < jobs.size(); ++i) {
+      if (jobs[i].estimated_finish == jobs[i - 1].estimated_finish) ++ties;
+    }
   }
+  EXPECT_GT(peak_running, 0u);
+  if (grid) {
+    EXPECT_GT(ties, 0u) << "the grid stream must tie estimated finishes";
+  }
+  if (input.nodes >= 1024) {
+    EXPECT_GE(peak_running, input.nodes / 2)
+        << "the wide stream must keep thousands of jobs running";
+  }
+}
+
+TEST(SpaceSharedPropertyTest, IndexedMatchesNaiveReference) {
+  expect_cluster_matches_naive({.nodes = 64, .seed = 0xB0B});
+}
+
+TEST(SpaceSharedPropertyTest, IndexedMatchesNaiveReferenceOnTiedFinishes) {
+  // Estimates and start instants on a coarse grid: many running jobs
+  // share an estimated finish, so the id half of the key orders them,
+  // and ids do not ascend with start order.
+  expect_cluster_matches_naive({.nodes = 64,
+                                .seed = 0x7135,
+                                .estimate_grid = 50.0,
+                                .advance_grid = 10.0,
+                                .scrambled_ids = true});
+}
+
+TEST(SpaceSharedPropertyTest, IndexedMatchesNaiveReferenceWhenWide) {
+  // Thousands of 1-processor jobs running at once: inserts and erases
+  // land in the middle of a long finish index, not just at its ends.
+  expect_cluster_matches_naive({.nodes = 4096,
+                                .seed = 0x5EED,
+                                .steps = 8000,
+                                .start_share = 0.70,
+                                .cancel_share = 0.10,
+                                .toggle_share = 0.05,
+                                .max_procs = 1,
+                                .runtime_lo = 20000.0,
+                                .runtime_hi = 40000.0,
+                                .estimate_grid = 600.0,
+                                .estimate_slots = 100,
+                                .advance_grid = 10.0,
+                                .check_every = 30,
+                                .scrambled_ids = true});
 }
 
 // ------------------------------------------------ ShareIndex vs naive model

@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -34,6 +35,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/shard.hpp"
+#include "verify/digest.hpp"
 
 namespace utilrisk::serve {
 namespace {
@@ -519,12 +521,11 @@ void expect_honourable(const Request& request, const std::string& line) {
   EXPECT_GE(request.deadline_ms, 0.0) << line;
 }
 
-TEST(ProtocolTest, HostileCorpusNeverEscapesProtocolError) {
-  // Every line here is hostile in a different way; parse_request's
-  // contract is "ProtocolError and only ProtocolError, whatever the
-  // bytes". A plain runtime_error escaping here would crash the server's
-  // per-line firewall (this corpus includes the non-string urgency that
-  // used to do exactly that).
+/// Lines each hostile in a different way: malformed, mis-typed, invalid
+/// UTF-8, over-deep, oversized, out of range. It includes the non-string
+/// urgency that once escaped the server's per-line firewall as a plain
+/// runtime_error.
+std::vector<std::string> hostile_corpus() {
   std::vector<std::string> corpus = {
       "",
       " ",
@@ -570,6 +571,14 @@ TEST(ProtocolTest, HostileCorpusNeverEscapesProtocolError) {
   corpus.push_back(std::move(oversized));
   corpus.insert(corpus.end(), out_of_range_lines().begin(),
                 out_of_range_lines().end());
+  return corpus;
+}
+
+TEST(ProtocolTest, HostileCorpusNeverEscapesProtocolError) {
+  // parse_request's contract is "ProtocolError and only ProtocolError,
+  // whatever the bytes". A plain runtime_error escaping here would crash
+  // the server's per-line firewall.
+  const std::vector<std::string> corpus = hostile_corpus();
 
   for (const std::string& line : corpus) {
     try {
@@ -2109,6 +2118,93 @@ TEST(JournalTest, AdviseAutoSegmentReplaysAndIsRewrittenByteForByte) {
   std::ostringstream rewritten;
   rewritten << in.rdbuf();
   EXPECT_EQ(rewritten.str(), kAdviseAutoSegment);
+}
+
+/// `line` as the request of one chk-sealed journal record, framed the
+/// way JournalWriter::append_request frames the encoding it writes.
+[[nodiscard]] std::string journal_record(const std::string& line) {
+  const std::string payload = "{\"type\":\"req\",\"req\":" + line;
+  verify::DigestStream chk;
+  chk.put_string(payload);
+  return payload + ",\"chk\":\"" + verify::to_hex(chk.value()) + "\"}\n";
+}
+
+/// The request recovery reads back from a segment holding only `line`'s
+/// record, or nullopt when recovery refuses the record.
+[[nodiscard]] std::optional<Request> recover_line(
+    const std::filesystem::path& dir, const std::string& line) {
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir / "journal-00000001.ndjson", std::ios::binary)
+      << journal_record(line);
+  try {
+    RecoveredJournal recovered = load_journal(dir.string());
+    EXPECT_EQ(recovered.requests.size(), 1u) << line;
+    EXPECT_EQ(recovered.truncated_records, 0u) << line;
+    if (recovered.requests.size() != 1) return std::nullopt;
+    return std::move(recovered.requests.front());
+  } catch (const JournalError&) {
+    return std::nullopt;
+  }
+}
+
+/// The request the wire reads from `line`, or nullopt when it refuses it.
+[[nodiscard]] std::optional<Request> wire_line(const std::string& line) {
+  try {
+    return parse_request(line);
+  } catch (const ProtocolError&) {
+    return std::nullopt;
+  }
+}
+
+TEST(JournalTest, RecoveryReadsEveryRequestAsTheWireDoes) {
+  // Recovery parses a record once and reads its `req` member; the wire
+  // parses the line itself. For every line both must give the same
+  // request, or both refuse it.
+  std::vector<std::string> lines = hostile_corpus();
+  for (const char* line : {kSubmitLine, kRoutedSubmitLine, kDefaultAdviseLine,
+                           kCustomAdviseLine}) {
+    lines.emplace_back(line);
+  }
+  // Requests valid but for their bytes: one past the wire's size cap, one
+  // whose scenario is not UTF-8.
+  std::string padded = kSubmitLine;
+  padded.pop_back();
+  padded += ",\"pad\":\"" + std::string(kMaxRequestBytes, 'x') + "\"}";
+  lines.push_back(std::move(padded));
+  std::string latin1 = kSubmitLine;
+  latin1.pop_back();
+  latin1 += ",\"scenario\":\"caf\xe9\"}";
+  lines.push_back(std::move(latin1));
+  for (const std::string& workload : {std::string(), std::string("zipf")}) {
+    LoadgenConfig load;
+    load.requests = 150;
+    load.seed = 7;
+    load.workload = workload;
+    load.deadline_ms = 250.0;
+    for (const Request& request : make_request_stream(load)) {
+      lines.push_back(encode_request(request));
+    }
+  }
+  const std::filesystem::path dir = fresh_dir("journal_vs_wire");
+  std::size_t accepted = 0;
+  std::size_t refused = 0;
+  for (const std::string& line : lines) {
+    ASSERT_EQ(line.find('\n'), std::string::npos);
+    const std::optional<Request> wire = wire_line(line);
+    const std::optional<Request> journal = recover_line(dir, line);
+    ASSERT_EQ(wire.has_value(), journal.has_value())
+        << "line of " << line.size() << " bytes: " << line.substr(0, 80);
+    if (!wire) {
+      ++refused;
+      continue;
+    }
+    ++accepted;
+    EXPECT_EQ(wire->kind, journal->kind) << line;
+    EXPECT_EQ(encode_request(*wire), encode_request(*journal)) << line;
+  }
+  EXPECT_GE(accepted, 304u);
+  EXPECT_GE(refused, 30u);
 }
 
 TEST(AdmissionEngineTest, AdviceOnTheWireIsTheAdvisorsSnapshot) {

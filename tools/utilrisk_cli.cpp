@@ -204,6 +204,7 @@ int cmd_simulate(cli::CommandContext& ctx) {
     rconfig.policy = policy::parse_policy_kind(parser.get("policy"));
     rconfig.model = parse_model(parser.get("model"));
     rconfig.trace.job_count = get_count(parser, "jobs");
+    rconfig.machine.node_count = get_count(parser, "nodes");
     rconfig.settings.high_urgency_percent =
         parser.get_double("urgency", 0, 100);
     rconfig.settings.arrival_delay_factor = get_adf(parser);
