@@ -105,7 +105,11 @@ void TimeSharedCluster::start(const workload::Job& job,
     share_index_update(id);
     if (ever_tasked_flag_[id] == 0) {
       ever_tasked_flag_[id] = 1;
-      ever_tasked_.insert(id);
+      if (ever_tasked_sorted_ == ever_tasked_.size() &&
+          (ever_tasked_.empty() || ever_tasked_.back() < id)) {
+        ++ever_tasked_sorted_;
+      }
+      ever_tasked_.push_back(id);
     }
     reschedule(node, id);
   }
@@ -296,23 +300,44 @@ bool TimeSharedCluster::is_up(NodeId id) const {
   return down_[id] == 0;
 }
 
+void TimeSharedCluster::sort_ever_tasked() const {
+  const auto sorted_end =
+      ever_tasked_.begin() + static_cast<std::ptrdiff_t>(ever_tasked_sorted_);
+  std::sort(sorted_end, ever_tasked_.end());
+  std::inplace_merge(ever_tasked_.begin(), sorted_end, ever_tasked_.end());
+  ever_tasked_sorted_ = ever_tasked_.size();
+}
+
+TimeSharedCluster::NodeBusy TimeSharedCluster::node_busy(NodeId id) const {
+  if (id >= nodes_.size()) {
+    throw std::out_of_range("TimeSharedCluster::node_busy: bad node");
+  }
+  return busy_of(nodes_[id], now());
+}
+
+TimeSharedCluster::NodeBusy TimeSharedCluster::busy_of(const NodeState& node,
+                                                       sim::SimTime t) {
+  NodeBusy busy;
+  busy.integrated = node.delivered;
+  // Un-integrated progress since the node's last event. Work-conserving:
+  // the aggregate rate is 1 while any task runs.
+  if (!node.tasks.empty() && node.total_share > 0.0) {
+    busy.since = std::max(0.0, t - node.last_integrated);
+  }
+  return busy;
+}
+
 double TimeSharedCluster::busy_proc_seconds() const {
+  if (ever_tasked_sorted_ != ever_tasked_.size()) sort_ever_tasked();
   double total = 0.0;
   const sim::SimTime t = now();
   // Only nodes that ever hosted a task can contribute: the rest add an
   // exact 0.0, so skipping them leaves the sum bit-identical. Ascending
   // id order matches the old whole-cluster walk.
   for (NodeId id : ever_tasked_) {
-    const NodeState& node = nodes_[id];
-    total += node.delivered;
-    // Include un-integrated progress since the node's last event.
-    if (!node.tasks.empty() && node.total_share > 0.0) {
-      const double elapsed = t - node.last_integrated;
-      if (elapsed > 0.0) {
-        // Work-conserving: aggregate rate is 1 while any task runs.
-        total += elapsed;
-      }
-    }
+    const NodeBusy busy = busy_of(nodes_[id], t);
+    total += busy.integrated;
+    if (busy.since > 0.0) total += busy.since;
   }
   return total;
 }

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -124,9 +123,20 @@ class TimeSharedCluster : public sim::Entity {
   [[nodiscard]] std::size_t running_count() const { return jobs_.size(); }
 
   /// Processor-seconds delivered so far across all nodes. Walks only
-  /// nodes that have ever hosted a task (identical sum: untouched nodes
-  /// contribute exactly 0.0).
+  /// nodes that have ever hosted a task, in ascending id order, from one
+  /// contiguous array (identical sum: untouched nodes contribute exactly
+  /// 0.0).
   [[nodiscard]] double busy_proc_seconds() const;
+
+  /// Node `id`'s terms of busy_proc_seconds(), in the order the sum adds
+  /// them: the processor-seconds integrated at its last event, and the
+  /// time its tasks have run since (0 when it runs none). Throws
+  /// std::out_of_range for a bad node.
+  struct NodeBusy {
+    double integrated = 0.0;
+    double since = 0.0;
+  };
+  [[nodiscard]] NodeBusy node_busy(NodeId id) const;
 
   /// Visits up nodes in best-fit order — committed share descending, node
   /// id ascending, the exact order Libra's node selection sorts into —
@@ -157,12 +167,13 @@ class TimeSharedCluster : public sim::Entity {
     sim::SimTime deadline = 0.0;
   };
 
+  /// The fields busy_proc_seconds() reads come first, together.
   struct NodeState {
     std::vector<Task> tasks;
     double total_share = 0.0;
     sim::SimTime last_integrated = 0.0;
-    sim::EventHandle next_completion;
     double delivered = 0.0;  ///< proc-seconds completed on this node
+    sim::EventHandle next_completion;
   };
 
   struct JobState {
@@ -190,6 +201,10 @@ class TimeSharedCluster : public sim::Entity {
   /// Re-keys node `id`'s share-index entry to its current total_share.
   /// Call after mutating the share. No-op for down nodes.
   void share_index_update(NodeId id);
+  /// Sorts the tail of ever_tasked_ appended out of id order into place.
+  void sort_ever_tasked() const;
+  [[nodiscard]] static NodeBusy busy_of(const NodeState& node,
+                                        sim::SimTime t);
 
   MachineConfig machine_;
   std::vector<NodeState> nodes_;
@@ -202,11 +217,16 @@ class TimeSharedCluster : public sim::Entity {
   /// maintained around every total_share mutation so best-fit selection
   /// needs no full scan.
   ShareIndex share_index_;
-  /// Nodes that have ever hosted a task; the only ones that can carry a
-  /// non-zero delivered term in busy_proc_seconds().
-  std::set<NodeId> ever_tasked_;
+  /// Nodes that have ever hosted a task, the only ones that can carry a
+  /// non-zero term in busy_proc_seconds(). A node's first task appends it
+  /// in O(1); the walk sorts whatever was appended out of id order, so no
+  /// insert shifts the array. Best-fit placement fills idle nodes lowest
+  /// id first, so appends arrive in order unless a node was down.
+  mutable std::vector<NodeId> ever_tasked_;
+  /// Length of ever_tasked_'s ascending prefix.
+  mutable std::size_t ever_tasked_sorted_ = 0;
   /// Membership mirror of ever_tasked_, so the hot start path pays the
-  /// set insert only on a node's first-ever task.
+  /// append only on a node's first-ever task.
   std::vector<char> ever_tasked_flag_;
   /// Reused by handle_node_event for the ids of finished jobs.
   std::vector<workload::JobId> finished_scratch_;

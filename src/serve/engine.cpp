@@ -38,6 +38,12 @@ const std::vector<double>& batch_size_buckets() {
   return stream.value();
 }
 
+void fire(std::vector<std::pair<Completion, Response>>& completions) {
+  for (auto& [completion, response] : completions) {
+    if (completion) completion(response);
+  }
+}
+
 void accumulate_inputs(core::ObjectiveInputs& into,
                        const core::ObjectiveInputs& add) {
   into.submitted += add.submitted;
@@ -274,20 +280,26 @@ void AdmissionEngine::engine_loop() {
                                decide(request));
     }
     bool synced = !group_commit;
-    if (journal_ != nullptr && decided_any) {
+    if (journal_ != nullptr && (decided_any || !deferred.empty())) {
       // The tick record carries the running digest — the recovery oracle.
       // Under FsyncPolicy::Batch this is also the durability point: one
       // fsync covers the whole batch — or, while backlog persists, one
       // fsync per group_commit_ms covers several ticks whose completions
-      // wait in `deferred` until it lands.
+      // wait in `deferred` until it lands. A tick that decided nothing
+      // (only sheds or advise queries) still syncs for the waiting ones
+      // once the queue empties: no later tick may come to release them.
       const auto now = std::chrono::steady_clock::now();
       const bool sync_now =
           !group_commit || queue_.size() == 0 ||
           std::chrono::duration<double, std::milli>(now - last_sync)
                   .count() >= config_.group_commit_ms;
-      journal_->append_tick(stats_.processed,
-                            verify::to_hex(decision_digest_.value()),
-                            sync_now);
+      if (decided_any) {
+        journal_->append_tick(stats_.processed,
+                              verify::to_hex(decision_digest_.value()),
+                              sync_now);
+      } else if (sync_now) {
+        journal_->sync();
+      }
       if (sync_now) {
         last_sync = now;
         synced = true;
@@ -297,16 +309,14 @@ void AdmissionEngine::engine_loop() {
     // landed: no client learns a decision the journal could still lose.
     // (A tick that only shed needs no durability — sheds are never
     // journalled — so its completions go out even mid-window.)
+    // The release listener is told once per tick that released anything.
     if (synced) {
-      for (auto& [completion, response] : deferred) {
-        if (completion) completion(response);
-      }
+      fire(deferred);
       deferred.clear();
     }
     if (synced || !decided_any) {
-      for (auto& [completion, response] : completions) {
-        if (completion) completion(response);
-      }
+      fire(completions);
+      tell_release_listener();
     } else {
       std::move(completions.begin(), completions.end(),
                 std::back_inserter(deferred));
@@ -323,9 +333,15 @@ void AdmissionEngine::engine_loop() {
   // completions — drain() must never win a race against a pending fsync.
   if (!deferred.empty()) {
     if (journal_ != nullptr) journal_->sync();
-    for (auto& [completion, response] : deferred) {
-      if (completion) completion(response);
-    }
+    fire(deferred);
+    tell_release_listener();
+  }
+}
+
+void AdmissionEngine::tell_release_listener() {
+  if (ReleaseListener* listener =
+          release_listener_.load(std::memory_order_acquire)) {
+    listener->completions_released();
   }
 }
 

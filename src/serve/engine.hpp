@@ -41,6 +41,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "advise/advisor_engine.hpp"
 #include "policy/factory.hpp"
@@ -106,6 +107,18 @@ struct EngineConfig {
 
 /// Delivered on the engine thread once the decision for a request exists.
 using Completion = std::function<void(const Response&)>;
+
+/// Told by an engine thread each time it has released completions: after
+/// the fsync that covers a tick, and after the deferred tail at drain. The
+/// server buffers what completions answer and flushes it here, once per
+/// connection per tick.
+class ReleaseListener {
+ public:
+  virtual void completions_released() = 0;
+
+ protected:
+  ~ReleaseListener() = default;
+};
 
 /// Session totals, snapshotted at drain time.
 struct EngineStats {
@@ -173,6 +186,10 @@ class EngineApi {
   [[nodiscard]] virtual Response make_busy_response(
       const Request& request) const = 0;
 
+  /// Attaches the listener every engine thread tells after it released
+  /// completions (null detaches). Safe while the engine runs.
+  virtual void set_release_listener(ReleaseListener* listener) = 0;
+
   /// Graceful shutdown: stop accepting, answer everything queued, settle
   /// the simulation(s), return session totals. Idempotent.
   virtual EngineStats drain() = 0;
@@ -206,6 +223,10 @@ class AdmissionEngine : public EngineApi {
   /// The canonical backpressure response for `request`.
   [[nodiscard]] Response make_busy_response(
       const Request& request) const override;
+
+  void set_release_listener(ReleaseListener* listener) override {
+    release_listener_.store(listener, std::memory_order_release);
+  }
 
   /// Graceful shutdown: stop accepting, process everything already
   /// queued (every completion fires), run the simulation to quiescence so
@@ -244,6 +265,11 @@ class AdmissionEngine : public EngineApi {
   [[nodiscard]] JournalStats journal_stats() const {
     return journal_ != nullptr ? journal_->stats() : JournalStats{};
   }
+  /// Journal bytes the last fsync made durable (JournalWriter::
+  /// synced_bytes; 0 when journaling is off). Safe from any thread.
+  [[nodiscard]] std::uint64_t journal_synced_bytes() const {
+    return journal_ != nullptr ? journal_->synced_bytes() : 0;
+  }
 
  private:
   struct Pending {
@@ -274,6 +300,9 @@ class AdmissionEngine : public EngineApi {
   };
 
   void engine_loop();
+  /// Tells the release listener, if one is attached, that completions
+  /// went out.
+  void tell_release_listener();
   /// The pure decision path: clamp the virtual clock, simulate, digest,
   /// feed the advisor and act on its switch points. Everything wall-clock
   /// (queue-wait metrics, sheds, completions, journaling) lives outside
@@ -322,6 +351,7 @@ class AdmissionEngine : public EngineApi {
   // --- cross-thread coordination ----------------------------------------
   std::atomic<bool> started_{false};
   std::atomic<bool> drained_{false};
+  std::atomic<ReleaseListener*> release_listener_{nullptr};
   std::mutex drain_mutex_;  ///< serialises drain() callers
   std::thread thread_;
 

@@ -397,6 +397,7 @@ void JournalWriter::flush() {
     }
     written += static_cast<std::size_t>(n);
   }
+  written_bytes_ += written;
   pending_.clear();
 }
 
@@ -406,6 +407,7 @@ void JournalWriter::fsync_now() {
   if (::fsync(fd_) == 0) {
     ++stats_.fsyncs;
     if (fsyncs_metric_ != nullptr) fsyncs_metric_->inc();
+    synced_bytes_.store(written_bytes_, std::memory_order_release);
   }
 }
 

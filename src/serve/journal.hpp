@@ -43,6 +43,7 @@
 //    a process crash alone does not.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -182,6 +183,12 @@ class JournalWriter {
 
   [[nodiscard]] const JournalStats& stats() const { return stats_; }
   [[nodiscard]] const JournalConfig& config() const { return config_; }
+  /// How many of the bytes appended this session (JournalStats::bytes,
+  /// in append order across segments) the last fsync made durable. Safe
+  /// to read from any thread.
+  [[nodiscard]] std::uint64_t synced_bytes() const {
+    return synced_bytes_.load(std::memory_order_acquire);
+  }
 
  private:
   void open_segment();
@@ -210,6 +217,10 @@ class JournalWriter {
   /// segment's record lines, reset at rotation.
   verify::DigestStream seal_fold_;
   JournalStats stats_;
+  /// Appended bytes flush() has handed to the kernel, and how many of
+  /// them the last fsync covered.
+  std::uint64_t written_bytes_ = 0;
+  std::atomic<std::uint64_t> synced_bytes_{0};
 
   obs::Counter* appends_metric_ = nullptr;
   obs::Counter* fsyncs_metric_ = nullptr;

@@ -441,6 +441,11 @@ Response parse_response(std::string_view line) {
 std::string encode_response(const Response& response) {
   std::string out;
   out.reserve(128);
+  encode_response_to(out, response);
+  return out;
+}
+
+void encode_response_to(std::string& out, const Response& response) {
   out += "{\"id\":";
   append_number(out, response.id);
   out += ",\"status\":\"";
@@ -525,7 +530,6 @@ std::string encode_response(const Response& response) {
     }
   }
   out += '}';
-  return out;
 }
 
 workload::Job to_job(const Request& request, workload::JobId job_id,

@@ -211,6 +211,10 @@ void encode_request_to(std::string& out, const Request& request);
 /// Serialises a response to one line (no trailing newline).
 [[nodiscard]] std::string encode_response(const Response& response);
 
+/// Appends the one-line encoding to `out` (the server encodes each reply
+/// straight into its connection's outbox).
+void encode_response_to(std::string& out, const Response& response);
+
 // --- field codec ------------------------------------------------------------
 // Every NDJSON line serve reads or writes — wire requests and responses,
 // and the journal's records — goes through these. A reader throws

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -35,7 +36,8 @@ struct Server::Connection {
     Stalled,  ///< bytes buffered and no progress for stall_ms — wedged peer
   };
 
-  int fd = -1;
+  int fd = -1;  ///< the socket; -1 in stdio mode
+  std::ostream* stream = nullptr;  ///< where stdio mode writes instead
   std::size_t outbox_cap = 256 * 1024;
   double stall_ms = 5000.0;
   /// Server-wide slow-client kill counter (overflow kills happen on the
@@ -43,15 +45,18 @@ struct Server::Connection {
   std::atomic<std::uint64_t>* stalled_counter = nullptr;
   std::mutex write_mutex;
   std::atomic<bool> open{true};
-  /// Buffered-but-unsent response bytes (guarded by write_mutex). Writes
-  /// are non-blocking: the engine thread appends here and moves on; the
-  /// connection's reader task drains it via POLLOUT. Bounded — a peer
-  /// that stops reading overflows the cap and is disconnected instead of
-  /// wedging the engine thread inside send().
+  /// Response bytes the peer has not taken (guarded by write_mutex).
+  /// Writes are non-blocking: replies are encoded straight in here and
+  /// flushed with one send(), and what the socket will not take waits for
+  /// the connection's reader task to drain it via POLLOUT. Bounded — a
+  /// peer that stops reading overflows the cap and is disconnected
+  /// instead of wedging the engine thread inside send().
   std::string outbox;
   /// Last instant a flush moved bytes (guarded by write_mutex); the
   /// stall clock for the slow-loris timeout.
   std::chrono::steady_clock::time_point last_progress;
+  /// On the server's flush list (guarded by write_mutex).
+  bool flush_queued = false;
 
   ~Connection() {
     if (fd >= 0) ::close(fd);
@@ -63,29 +68,28 @@ struct Server::Connection {
   /// until the Connection is destroyed.
   void kill() {
     open.store(false, std::memory_order_relaxed);
-    ::shutdown(fd, SHUT_RDWR);
+    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   }
 
-  /// Queues one line (appending '\n') and flushes what the socket will
-  /// take right now. Never blocks. Returns false when the connection is
-  /// (or just became) dead — including an outbox overflow, which kills
-  /// the connection on the spot.
-  bool write_line(const std::string& line) {
-    std::lock_guard lock(write_mutex);
+  /// Encodes one reply line into the outbox without writing it (caller
+  /// holds write_mutex). An append that takes the outbox past the cap
+  /// flushes first; only a peer still over the cap is killed. Returns
+  /// false when the connection is (or just became) dead.
+  bool append_locked(const Response& response) {
     if (!open.load(std::memory_order_relaxed)) return false;
-    if (outbox.empty()) {
-      last_progress = std::chrono::steady_clock::now();
-    }
-    outbox += line;
+    if (outbox.empty()) last_progress = std::chrono::steady_clock::now();
+    encode_response_to(outbox, response);
     outbox.push_back('\n');
     if (outbox.size() > outbox_cap) {
-      kill();
-      if (stalled_counter != nullptr) {
-        stalled_counter->fetch_add(1, std::memory_order_relaxed);
+      flush_locked();
+      if (open.load(std::memory_order_relaxed) &&
+          outbox.size() > outbox_cap) {
+        kill();
+        if (stalled_counter != nullptr) {
+          stalled_counter->fetch_add(1, std::memory_order_relaxed);
+        }
       }
-      return false;
     }
-    flush_locked();
     return open.load(std::memory_order_relaxed);
   }
 
@@ -103,10 +107,20 @@ struct Server::Connection {
     return stalled_for > stall_ms ? WriteState::Stalled : WriteState::Pending;
   }
 
- private:
-  /// Non-blocking partial-write loop (caller holds write_mutex). A
-  /// vanished peer closes the connection instead of raising SIGPIPE.
+  /// Writes what the peer will take right now (caller holds write_mutex):
+  /// a non-blocking partial-send loop on a socket, where a vanished peer
+  /// closes the connection instead of raising SIGPIPE; a write and flush
+  /// of the whole outbox in stdio mode.
   void flush_locked() {
+    if (!open.load(std::memory_order_relaxed)) return;
+    if (stream != nullptr) {
+      stream->write(outbox.data(),
+                    static_cast<std::streamsize>(outbox.size()));
+      stream->flush();
+      outbox.clear();
+      if (!*stream) open.store(false, std::memory_order_relaxed);
+      return;
+    }
     while (!outbox.empty()) {
       const ssize_t n = ::send(fd, outbox.data(), outbox.size(),
                                MSG_NOSIGNAL | MSG_DONTWAIT);
@@ -124,9 +138,14 @@ struct Server::Connection {
 };
 
 Server::Server(const ServerConfig& config, EngineApi& engine)
-    : config_(config), engine_(engine), io_pool_(config.io_threads) {}
+    : config_(config), engine_(engine), io_pool_(config.io_threads) {
+  engine_.set_release_listener(this);
+}
 
-Server::~Server() { stop_and_drain(); }
+Server::~Server() {
+  stop_and_drain();
+  engine_.set_release_listener(nullptr);
+}
 
 void Server::start() {
   if (!config_.unix_path.empty()) {
@@ -207,10 +226,6 @@ void Server::acceptor_loop() {
 }
 
 void Server::reader_loop(const std::shared_ptr<Connection>& connection) {
-  const auto sink = std::make_shared<const ReplySink>(
-      [connection](const std::string& line) {
-        return connection->write_line(line);
-      });
   std::string buffer;
   bool discarding = false;  // inside an over-long line, until its newline
   char chunk[4096];
@@ -244,33 +259,34 @@ void Server::reader_loop(const std::shared_ptr<Connection>& connection) {
       return;
     }
     buffer.append(chunk, static_cast<std::size_t>(n));
+    const std::string_view lines(buffer);
     std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
-         nl = buffer.find('\n', start)) {
-      std::string line = buffer.substr(start, nl - start);
+    for (std::size_t nl = lines.find('\n', start); nl != std::string::npos;
+         nl = lines.find('\n', start)) {
+      const std::string_view line = lines.substr(start, nl - start);
       start = nl + 1;
       if (discarding) {
         discarding = false;  // the tail of the oversized line
         continue;
       }
-      if (!line.empty()) handle_line(sink, std::move(line));
+      if (!line.empty()) handle_line(*connection, line);
     }
     buffer.erase(0, start);
     // A line still has no newline: cap its growth. handle_line answers it
     // as oversized; the rest of it is discarded up to its newline.
     if (!discarding && buffer.size() > kMaxRequestBytes) {
-      handle_line(sink, std::move(buffer));
+      handle_line(*connection, buffer);
       buffer.clear();
       discarding = true;
     }
   }
   if (!discarding && !buffer.empty()) {
-    handle_line(sink, std::move(buffer));  // unterminated last line
+    handle_line(*connection, buffer);  // unterminated last line
   }
   // Half-close linger: the peer stopped submitting but responses already
   // queued in the outbox must still reach it. Drain under the same stall
-  // timeout; responses that complete after this task exits are delivered
-  // by write_line's opportunistic flush.
+  // timeout; responses that complete after this task exits go out with
+  // their tick's flush.
   for (;;) {
     if (stop_requested_.load()) return;
     const Connection::WriteState writes = connection->service_writes();
@@ -285,8 +301,7 @@ void Server::reader_loop(const std::shared_ptr<Connection>& connection) {
   }
 }
 
-void Server::handle_line(const std::shared_ptr<const ReplySink>& sink,
-                         std::string line) {
+void Server::handle_line(Connection& connection, std::string_view line) {
   lines_.fetch_add(1, std::memory_order_relaxed);
   Response error;
   error.status = Status::Error;
@@ -294,7 +309,7 @@ void Server::handle_line(const std::shared_ptr<const ReplySink>& sink,
     oversized_.fetch_add(1, std::memory_order_relaxed);
     error.message =
         "request exceeds " + std::to_string(kMaxRequestBytes) + " bytes";
-    reply(*sink, error);
+    reply_now(connection, error);
     return;
   }
   Request request;
@@ -303,23 +318,54 @@ void Server::handle_line(const std::shared_ptr<const ReplySink>& sink,
   } catch (const ProtocolError& e) {
     malformed_.fetch_add(1, std::memory_order_relaxed);
     error.message = e.what();
-    reply(*sink, error);
+    reply_now(connection, error);
     return;
   }
-  const bool queued =
-      engine_.submit(request, [this, sink](const Response& response) {
-        reply(*sink, response);
+  // Two pointers: the closure fits std::function's local buffer, so the
+  // per-request completion allocates nothing.
+  const bool queued = engine_.submit(
+      request, [this, connection = &connection](const Response& response) {
+        deliver(*connection, response);
       });
   if (!queued) {
     busy_.fetch_add(1, std::memory_order_relaxed);
-    reply(*sink, engine_.make_busy_response(request));
+    reply_now(connection, engine_.make_busy_response(request));
   }
 }
 
-void Server::reply(const ReplySink& sink, const Response& response) {
-  if (sink(encode_response(response))) {
+void Server::reply_now(Connection& connection, const Response& response) {
+  std::lock_guard lock(connection.write_mutex);
+  if (!connection.append_locked(response)) return;
+  responses_.fetch_add(1, std::memory_order_relaxed);
+  connection.flush_locked();
+}
+
+void Server::deliver(Connection& connection, const Response& response) {
+  {
+    std::lock_guard lock(connection.write_mutex);
+    if (!connection.append_locked(response)) return;
     responses_.fetch_add(1, std::memory_order_relaxed);
+    if (connection.flush_queued) return;
+    connection.flush_queued = true;
   }
+  std::lock_guard lock(flush_mutex_);
+  to_flush_.push_back(&connection);
+}
+
+void Server::completions_released() {
+  // Each engine thread swaps the list into its own buffer, so shards
+  // flush concurrently and the steady state allocates nothing.
+  thread_local std::vector<Connection*> flushing;
+  {
+    std::lock_guard lock(flush_mutex_);
+    flushing.swap(to_flush_);
+  }
+  for (Connection* connection : flushing) {
+    std::lock_guard lock(connection->write_mutex);
+    connection->flush_queued = false;
+    connection->flush_locked();
+  }
+  flushing.clear();
 }
 
 EngineStats Server::stop_and_drain() {
@@ -357,20 +403,17 @@ ServerStats Server::stats() const {
 }
 
 ServerStats Server::run_stdio(std::istream& in, std::ostream& out) {
-  // Written by this thread (errors, busy) and the engine's (completions).
-  std::mutex write_mutex;
-  const auto sink = std::make_shared<const ReplySink>(
-      [&out, &write_mutex](const std::string& line) {
-        std::lock_guard lock(write_mutex);
-        out << line << '\n';
-        return static_cast<bool>(out);
-      });
+  Connection connection;
+  connection.stream = &out;
+  connection.outbox_cap = config_.write_buffer_bytes;
+  connection.stalled_counter = &stalled_;
   std::string line;
   while (std::getline(in, line)) {
-    if (!line.empty()) handle_line(sink, std::move(line));
+    if (!line.empty()) handle_line(connection, line);
   }
-  engine_.drain();  // EOF on stdin is the drain signal in stdio mode
-  out.flush();
+  // EOF on stdin is the drain signal in stdio mode; the drain's last
+  // release flushes the final replies.
+  engine_.drain();
   return stats();
 }
 

@@ -8,14 +8,16 @@
 //        |                    |                                 |
 //        |                    +-- parse errors / oversized      engine
 //        |                        lines / `busy` backpressure   thread
-//        |                        answered inline               |
-//        +-- poll() with a stop flag                 completions write
-//                                                   responses to the
-//                                                   connection (mutexed)
+//        |                        answered and flushed inline   |
+//        +-- poll() with a stop flag               completions encode
+//                                                 into the connection's
+//                                                 outbox; once the tick's
+//                                                 completions are out, one
+//                                                 send() per connection
 //
 // Socket and stdin lines go through one handle_line, so the size cap,
 // parse errors, `busy` and completions (and their counters) exist once;
-// only the reply sink differs.
+// only where a connection's flush writes differs.
 //
 // Lifecycle: start() binds and launches the acceptor; stop_and_drain()
 // stops accepting, lets readers wind down at the next poll tick, drains
@@ -26,11 +28,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -47,10 +49,10 @@ struct ServerConfig {
   /// Reader tasks run on an exp::ThreadPool of this size; it also caps
   /// the number of concurrently served connections.
   std::size_t io_threads = 4;
-  /// Per-connection response buffer cap. Responses queue here when the
-  /// peer's socket is full; a client that lets it overflow (not reading
-  /// its responses) is disconnected — the engine thread never blocks on a
-  /// slow client's socket.
+  /// Per-connection cap on response bytes the peer has not taken. A reply
+  /// that takes the buffer past it flushes first; a client still over the
+  /// cap (not reading its responses) is disconnected — the engine thread
+  /// never blocks on a slow client's socket.
   std::size_t write_buffer_bytes = 256 * 1024;
   /// A connection with buffered responses that makes no write progress
   /// for this long is presumed wedged (slow-loris) and disconnected.
@@ -70,7 +72,7 @@ struct ServerStats {
   std::uint64_t stalled = 0;
 };
 
-class Server {
+class Server : private ReleaseListener {
  public:
   /// The engine (single AdmissionEngine or a ShardedEngine fan-out —
   /// any EngineApi) must outlive the server and must be start()ed by the
@@ -101,23 +103,27 @@ class Server {
   [[nodiscard]] int bound_port() const { return bound_port_; }
 
   /// Stdio mode, instead of start(): feeds each line of `in` to the
-  /// socket path's handle_line until EOF, writes responses to `out`, then
-  /// drains the engine. Returns the transport stats of the session.
+  /// socket path's handle_line until EOF, writes responses to `out` —
+  /// flushed as a socket's are sent — then drains the engine. Returns the
+  /// transport stats of the session.
   ServerStats run_stdio(std::istream& in, std::ostream& out);
 
  private:
   struct Connection;
-  /// Writes one response line to a client; false when it did not go out.
-  using ReplySink = std::function<bool(const std::string& line)>;
 
   void acceptor_loop();
   void reader_loop(const std::shared_ptr<Connection>& connection);
   /// Parses/validates one line and routes it (engine, busy, or error).
-  /// Completions share `sink`: they may fire after its reader has exited.
-  void handle_line(const std::shared_ptr<const ReplySink>& sink,
-                   std::string line);
-  /// Writes one reply to `sink`, counting it when it went out.
-  void reply(const ReplySink& sink, const Response& response);
+  /// Completions hold the connection by address: connections_ keeps it
+  /// alive until the engine has drained.
+  void handle_line(Connection& connection, std::string_view line);
+  /// An inline reply from the reading thread: buffered and flushed now.
+  void reply_now(Connection& connection, const Response& response);
+  /// A completion's reply, on an engine thread: buffered, and the
+  /// connection queued for completions_released() to flush.
+  void deliver(Connection& connection, const Response& response);
+  /// Flushes every queued connection, one write each.
+  void completions_released() override;
 
   ServerConfig config_;
   EngineApi& engine_;
@@ -131,6 +137,11 @@ class Server {
 
   mutable std::mutex connections_mutex_;
   std::vector<std::shared_ptr<Connection>> connections_;
+
+  /// Connections holding replies that completions buffered and no flush
+  /// has written yet.
+  std::mutex flush_mutex_;
+  std::vector<Connection*> to_flush_;
 
   // Transport counters; relaxed atomics (stats() reads are diagnostics).
   std::atomic<std::uint64_t> connections_total_{0};

@@ -162,6 +162,10 @@ Response ShardedEngine::make_busy_response(const Request& request) const {
   return response;
 }
 
+void ShardedEngine::set_release_listener(ReleaseListener* listener) {
+  for (const auto& engine : engines_) engine->set_release_listener(listener);
+}
+
 EngineStats ShardedEngine::drain() {
   if (drained_) return merged_;
   shard_stats_.clear();

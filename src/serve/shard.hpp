@@ -77,6 +77,8 @@ class ShardedEngine : public EngineApi {
                             Completion completion) override;
   [[nodiscard]] Response make_busy_response(
       const Request& request) const override;
+  /// Every shard's engine thread tells `listener` after its own ticks.
+  void set_release_listener(ReleaseListener* listener) override;
   /// Drains every shard and merges: counters sum, virtual end time is the
   /// max, and the session decision digest is the order-independent merge
   /// of the per-shard digests.

@@ -670,6 +670,91 @@ TEST(TimeSharedPropertyTest, ShareIndexMatchesFullScanAcrossBlocks) {
       [](sim::Rng& rng) { return rng.uniform(5.0, 120.0); });
 }
 
+/// Drives a `node_count`-node executor through seeded starts on randomly
+/// drawn nodes — so first tasks arrive out of id order — completions,
+/// cancels, node failures and repairs, and at random steps compares
+/// busy_proc_seconds() with == against a fold over every node id in
+/// ascending order: the walk must visit exactly the right nodes in the
+/// right order, or the floating-point sum moves.
+void expect_busy_walk_matches_full_fold(std::uint32_t node_count,
+                                        std::uint64_t seed) {
+  sim::Simulator simk;
+  TimeSharedCluster cluster(simk, {.node_count = node_count});
+  sim::Rng rng(seed);
+  workload::JobId next_id = 1;
+  std::vector<workload::JobId> live;
+  const auto finished = [&live](workload::JobId id, sim::SimTime) {
+    live.erase(std::find(live.begin(), live.end(), id));
+  };
+  const auto full_fold = [&] {
+    double total = 0.0;
+    for (NodeId id = 0; id < node_count; ++id) {
+      const TimeSharedCluster::NodeBusy busy = cluster.node_busy(id);
+      total += busy.integrated;
+      if (busy.since > 0.0) total += busy.since;
+    }
+    return total;
+  };
+
+  std::size_t checks = 0;
+  for (int step = 0; step < 2000; ++step) {
+    const double roll = rng.uniform01();
+    if (roll < 0.45) {
+      const auto procs = static_cast<std::uint32_t>(rng.uniform_int(1, 8));
+      const double share = rng.uniform(0.05, 0.5);
+      std::vector<NodeId> nodes;
+      for (int draw = 0; draw < 64 && nodes.size() < procs; ++draw) {
+        const auto id =
+            static_cast<NodeId>(rng.uniform_int(0, node_count - 1));
+        if (cluster.is_up(id) &&
+            cluster.committed_share(id) + share <=
+                1.0 + TimeSharedCluster::kShareEpsilon &&
+            std::find(nodes.begin(), nodes.end(), id) == nodes.end()) {
+          nodes.push_back(id);
+        }
+      }
+      if (nodes.size() < procs) continue;
+      const double runtime = rng.uniform(5.0, 400.0);
+      cluster.start(make_job(next_id, procs, runtime), nodes, share,
+                    finished);
+      live.push_back(next_id++);
+    } else if (roll < 0.6 && !live.empty()) {
+      const std::size_t pick = rng.uniform_int(0, live.size() - 1);
+      const workload::JobId victim = live[pick];
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      EXPECT_TRUE(cluster.cancel(victim));
+    } else if (roll < 0.7) {
+      const auto id =
+          static_cast<NodeId>(rng.uniform_int(0, node_count - 1));
+      if (cluster.is_up(id)) {
+        for (const FailureKill& kill : cluster.node_down(id)) {
+          live.erase(std::find(live.begin(), live.end(), kill.job.id));
+        }
+      } else {
+        cluster.node_up(id);
+      }
+    } else {
+      simk.run(simk.now() + rng.uniform(1.0, 60.0));
+    }
+    // Several first tasks may land between two walks.
+    if (rng.uniform01() < 0.25) {
+      ASSERT_EQ(cluster.busy_proc_seconds(), full_fold()) << "step " << step;
+      ++checks;
+    }
+  }
+  ASSERT_EQ(cluster.busy_proc_seconds(), full_fold());
+  EXPECT_GT(checks, 100u);
+  EXPECT_GT(cluster.busy_proc_seconds(), 0.0);
+}
+
+TEST(TimeSharedPropertyTest, BusyWalkEqualsAFoldOverEveryNode) {
+  expect_busy_walk_matches_full_fold(128, 0xB05E);
+}
+
+TEST(TimeSharedPropertyTest, BusyWalkEqualsAFoldOverEveryNodeWhenWide) {
+  expect_busy_walk_matches_full_fold(4096, 0x5EED);
+}
+
 TEST(TimeSharedPropertyTest, RejectsDuplicateNodeIds) {
   sim::Simulator simk;
   TimeSharedCluster cluster(simk, {.node_count = 8});
